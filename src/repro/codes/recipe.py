@@ -19,12 +19,48 @@ reduction tree computes exactly the same bytes as central decode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CodingError, PlanError
-from repro.galois.vector import addmul
+from repro.galois.vector import combine
+
+
+def split_rows(payload: np.ndarray, rows: int) -> np.ndarray:
+    """Reshape a 1-D chunk payload into its ``rows`` sub-chunk rows."""
+    array = np.asarray(payload, dtype=np.uint8)
+    if array.ndim != 1:
+        raise CodingError("chunk buffers must be 1-D")
+    if rows < 1 or array.size % rows:
+        raise CodingError(
+            f"chunk of {array.size} bytes not divisible into {rows} rows"
+        )
+    return array.reshape(rows, -1)
+
+
+def compute_partial(
+    entries: "Sequence[Tuple[int, int, int]]",
+    rows: int,
+    payload: np.ndarray,
+) -> "Dict[int, np.ndarray]":
+    """One helper's partial result, ``lost_row -> buffer``, from ``entries``.
+
+    This is the local computation PPR schedules on a helper server (scalar
+    multiplications only, §4.1 observation 2): the output buffer of
+    ``lost_row`` is the XOR of ``coeff * payload[helper_row]`` over its
+    ``(lost_row, helper_row, coeff)`` entries.  It needs the entries alone
+    — a :class:`~repro.fs.messages.PartialOpRequest` carries exactly those
+    — not the recipe object, which is what lets a remote chunk server act
+    on the plan command by itself.
+    """
+    stacked = split_rows(payload, rows)
+    out = {
+        lost_row: np.empty(stacked.shape[1], dtype=np.uint8)
+        for lost_row, _, _ in entries
+    }
+    combine(out, stacked, entries)
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,33 +159,11 @@ class RepairRecipe:
     # ------------------------------------------------------------------
     # Execution (correctness path)
     # ------------------------------------------------------------------
-    def _split_rows(self, chunk: np.ndarray) -> np.ndarray:
-        if chunk.ndim != 1:
-            raise CodingError("chunk buffers must be 1-D")
-        if chunk.size % self.rows:
-            raise CodingError(
-                f"chunk of {chunk.size} bytes not divisible into "
-                f"{self.rows} rows"
-            )
-        return chunk.reshape(self.rows, -1)
-
     def partial_result(
         self, helper: int, chunk: np.ndarray
     ) -> "Dict[int, np.ndarray]":
-        """Compute one helper's partial result: ``lost_row -> buffer``.
-
-        This is the local computation PPR schedules on the helper server
-        (scalar multiplications only, §4.1 observation 2).
-        """
-        rows = self._split_rows(np.asarray(chunk, dtype=np.uint8))
-        out: Dict[int, np.ndarray] = {}
-        for lost_row, helper_row, coeff in self.term_for(helper).entries:
-            buf = out.get(lost_row)
-            if buf is None:
-                buf = np.zeros(rows.shape[1], dtype=np.uint8)
-                out[lost_row] = buf
-            addmul(buf, coeff, rows[helper_row])
-        return out
+        """Compute one helper's partial result: ``lost_row -> buffer``."""
+        return compute_partial(self.term_for(helper).entries, self.rows, chunk)
 
     @staticmethod
     def merge_partials(
@@ -187,7 +201,8 @@ class RepairRecipe:
         Traditional repair over sub-chunk codes ships only the helper rows
         the recipe reads; this entry point consumes exactly that.
         """
-        merged: Dict[int, np.ndarray] = {}
+        sources: Dict[Tuple[int, int], np.ndarray] = {}
+        entries = []
         for term in self.terms:
             rows = raw.get(term.helper)
             if rows is None:
@@ -198,18 +213,20 @@ class RepairRecipe:
                         f"helper {term.helper} raw transfer missing row "
                         f"{helper_row}"
                     )
-                buf = merged.get(lost_row)
-                if buf is None:
-                    buf = np.zeros(rows[helper_row].size, dtype=np.uint8)
-                    merged[lost_row] = buf
-                addmul(buf, coeff, rows[helper_row])
+                sources[term.helper, helper_row] = rows[helper_row]
+                entries.append((lost_row, (term.helper, helper_row), coeff))
+        merged = {
+            lost_row: np.empty_like(sources[key])
+            for lost_row, key, _ in entries
+        }
+        combine(merged, sources, entries)
         return self.assemble(merged)
 
     def read_rows_payload(
         self, helper: int, chunk: np.ndarray
     ) -> "Dict[int, np.ndarray]":
         """Extract the helper rows a raw transfer ships: ``row -> buffer``."""
-        rows = self._split_rows(np.asarray(chunk, dtype=np.uint8))
+        rows = split_rows(chunk, self.rows)
         return {
             helper_row: rows[helper_row].copy()
             for helper_row in self.term_for(helper).read_rows
@@ -221,13 +238,13 @@ class RepairRecipe:
         ``chunks`` maps helper index -> full chunk buffer.  Used both by
         traditional repair and by tests as ground truth for PPR execution.
         """
-        merged: Dict[int, np.ndarray] = {}
+        raw: Dict[int, Dict[int, np.ndarray]] = {}
         for term in self.terms:
             if term.helper not in chunks:
                 raise CodingError(f"missing helper chunk {term.helper}")
-            partial = self.partial_result(term.helper, chunks[term.helper])
-            merged = self.merge_partials(merged, partial)
-        return self.assemble(merged)
+            rows = split_rows(chunks[term.helper], self.rows)
+            raw[term.helper] = dict(enumerate(rows))
+        return self.execute_rows(raw)
 
 
 def whole_chunk_recipe(

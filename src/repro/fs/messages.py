@@ -7,21 +7,27 @@ real payload buffers.
 The same dataclasses are the *live* wire protocol's vocabulary: every
 message here knows how to round-trip through a JSON-compatible dict
 (``to_wire`` / ``from_wire``), which is what ``repro.live.wire`` frames
-onto TCP sockets.  The pure GF helpers at the bottom
-(:func:`compute_partial`, :func:`extract_rows`) are shared between the
-simulator's task state machines and the live chunk servers so both
-execution layers run literally the same math.
+onto TCP sockets.  The pure GF helpers (:func:`compute_partial`,
+re-exported from :mod:`repro.codes.recipe`, and :func:`extract_rows`) are
+shared between the simulator's task state machines and the live chunk
+servers so both execution layers run literally the same math.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CodingError
-from repro.galois.vector import addmul
+# compute_partial is re-exported: the math lives beside the recipe it
+# executes, and both execution layers import it from here.
+from repro.codes.recipe import (
+    RecipeTerm,
+    RepairRecipe,
+    compute_partial as compute_partial,
+    split_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -193,44 +199,6 @@ class Heartbeat:
 # ----------------------------------------------------------------------
 # Shared GF helpers: the exact math both execution layers run
 # ----------------------------------------------------------------------
-def split_rows(payload: np.ndarray, rows: int) -> np.ndarray:
-    """Reshape a 1-D chunk payload into its ``rows`` sub-chunk rows."""
-    array = np.asarray(payload, dtype=np.uint8)
-    if array.ndim != 1:
-        raise CodingError("chunk buffers must be 1-D")
-    if rows < 1 or array.size % rows:
-        raise CodingError(
-            f"chunk of {array.size} bytes not divisible into {rows} rows"
-        )
-    return array.reshape(rows, -1)
-
-
-def compute_partial(
-    entries: "Sequence[Tuple[int, int, int]]",
-    rows: int,
-    payload: np.ndarray,
-) -> "Dict[int, np.ndarray]":
-    """One server's partial result from its plan-command ``entries``.
-
-    This is the local computation a :class:`PartialOpRequest` schedules
-    (scalar multiplications only, §4.1 observation 2): for every
-    ``(lost_row, helper_row, coeff)`` entry, XOR ``coeff * payload[row]``
-    into the output buffer of ``lost_row``.  Identical math to
-    :meth:`repro.codes.recipe.RepairRecipe.partial_result`, but driven by
-    the wire message alone — no global recipe object needed — which is
-    what lets a remote chunk server act on the plan command by itself.
-    """
-    stacked = split_rows(payload, rows)
-    out: "Dict[int, np.ndarray]" = {}
-    for lost_row, helper_row, coeff in entries:
-        buf = out.get(lost_row)
-        if buf is None:
-            buf = np.zeros(stacked.shape[1], dtype=np.uint8)
-            out[lost_row] = buf
-        addmul(buf, coeff, stacked[helper_row])
-    return out
-
-
 def extract_rows(
     payload: np.ndarray, rows: int, rows_needed: "FrozenSet[int]"
 ) -> "Dict[int, np.ndarray]":
@@ -255,8 +223,6 @@ def recipe_to_wire(recipe: "Any") -> "Dict[str, Any]":
 
 
 def recipe_from_wire(data: "Dict[str, Any]") -> "Any":
-    from repro.codes.recipe import RecipeTerm, RepairRecipe
-
     terms: "List[Any]" = []
     for helper, entries in data["terms"]:
         terms.append(

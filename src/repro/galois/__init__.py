@@ -6,13 +6,17 @@ kernels here:
 
 * :mod:`repro.galois.tables` builds the exp/log and full multiplication
   tables for GF(2^8) with the standard polynomial ``0x11d`` (the one used by
-  Jerasure and most storage systems).
+  Jerasure and most storage systems), plus one 256-byte
+  ``bytes.translate`` map per coefficient.
 * :mod:`repro.galois.field` wraps them in a scalar :class:`GF256` field
   object with add/sub/mul/div/pow/inverse.
 * :mod:`repro.galois.vector` provides the bulk data-path operations used on
   chunk buffers: ``scale`` (multiply a buffer by a field constant),
   ``xor_into`` (accumulate), and ``addmul`` (fused ``dst ^= a * src``) —
-  exactly the two primitives PPR distributes across servers (§4.1).
+  exactly the two primitives PPR distributes across servers (§4.1) — all
+  over one block-wise ``bytes.translate`` multiply, and ``combine``, the
+  single row-combine loop that encode, decode and every partial-result
+  computation run on.
 * :mod:`repro.galois.polynomial` implements polynomials over GF(2^8),
   used for Vandermonde/BCH-style reasoning and tested as an independent
   check on the field axioms.
@@ -20,7 +24,7 @@ kernels here:
 
 from repro.galois.field import GF256, gf256
 from repro.galois.tables import GF_EXP, GF_LOG, GF_MUL, GF_INV, FIELD_SIZE
-from repro.galois.vector import addmul, scale, scale_into, xor_into, xor_many
+from repro.galois.vector import addmul, combine, scale, xor_into
 from repro.galois.polynomial import GFPolynomial
 
 __all__ = [
@@ -32,9 +36,8 @@ __all__ = [
     "GF_INV",
     "FIELD_SIZE",
     "addmul",
+    "combine",
     "scale",
-    "scale_into",
     "xor_into",
-    "xor_many",
     "GFPolynomial",
 ]

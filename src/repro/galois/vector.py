@@ -4,19 +4,32 @@ These are the data-path primitives of the whole system.  A repair equation
 
     R = a_1*C_1 ^ a_2*C_2 ^ ... ^ a_k*C_k
 
-is computed entirely with :func:`scale` (one table-row fancy-index per
-constant) and :func:`xor_into` — whether centrally (traditional repair) or
-split across servers (PPR partial operations).
+is computed entirely with constant multiplies and XORs — whether centrally
+(traditional repair) or split across servers (PPR partial operations).
+
+There is one multiply kernel: a block of the source is copied out with
+``tobytes()`` (which also normalises read-only and strided views) and run
+through ``bytes.translate`` with the coefficient's 256-byte map.  Buffers
+are walked in :data:`BLOCK`-sized pieces so source, product and
+destination stay cache-resident, and no scratch buffer or table cache is
+shared between calls, so the kernels are safe to run from several
+threads.  :func:`combine` is the one row-combine loop on top of it:
+encode, decode and every partial-result computation are calls to it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Tuple
 
 import numpy as np
 
 from repro.errors import GaloisError
-from repro.galois.tables import GF_MUL
+from repro.galois.tables import GF_MUL_MAPS
+
+#: Bytes multiplied per kernel step: large enough to amortise the per-call
+#: overhead, small enough that source, product and destination fit in L2
+#: and that the per-block temporaries stay under malloc's mmap threshold.
+BLOCK = 64 * 1024
 
 
 def _as_u8(buf: np.ndarray, name: str) -> np.ndarray:
@@ -25,32 +38,28 @@ def _as_u8(buf: np.ndarray, name: str) -> np.ndarray:
     return buf
 
 
+def _check_coeff(coeff: int) -> None:
+    if not 0 <= coeff < 256:
+        raise GaloisError(f"coefficient out of range: {coeff!r}")
+
+
+def _step(buf: np.ndarray) -> int:
+    """How many leading-axis rows of ``buf`` make up about BLOCK bytes."""
+    return max(1, BLOCK * len(buf) // max(1, buf.size))
+
+
+def _product(coeff: int, block: np.ndarray) -> np.ndarray:
+    """``coeff * block`` elementwise; read-only, and ``block`` itself for 1."""
+    if coeff == 1:
+        return block
+    product = block.tobytes().translate(GF_MUL_MAPS[coeff])
+    return np.ndarray(block.shape, np.uint8, product)
+
+
 def scale(coeff: int, buf: np.ndarray) -> np.ndarray:
     """Return ``coeff * buf`` elementwise over GF(2^8) (new array)."""
-    _as_u8(buf, "buf")
-    if not 0 <= coeff < 256:
-        raise GaloisError(f"coefficient out of range: {coeff!r}")
-    if coeff == 0:
-        return np.zeros_like(buf)
-    if coeff == 1:
-        return buf.copy()
-    return GF_MUL[coeff][buf]
-
-
-def scale_into(coeff: int, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``coeff * buf`` into ``out`` (shapes must match)."""
-    _as_u8(buf, "buf")
-    _as_u8(out, "out")
-    if buf.shape != out.shape:
-        raise GaloisError("scale_into: shape mismatch")
-    if not 0 <= coeff < 256:
-        raise GaloisError(f"coefficient out of range: {coeff!r}")
-    if coeff == 0:
-        out[...] = 0
-    elif coeff == 1:
-        out[...] = buf
-    else:
-        np.take(GF_MUL[coeff], buf, out=out)
+    out = np.empty_like(_as_u8(buf, "buf"))
+    combine([out], [buf], [(0, 0, coeff)])
     return out
 
 
@@ -67,52 +76,53 @@ def xor_into(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
 def addmul(dst: np.ndarray, coeff: int, src: np.ndarray) -> np.ndarray:
     """Fused ``dst ^= coeff * src`` in place.  Returns ``dst``.
 
-    This is the inner loop of both RS encoding and decoding.
+    ``src`` may be ``dst`` itself (giving ``(coeff ^ 1) * dst``), but not a
+    shifted view of the same memory.
     """
     _as_u8(dst, "dst")
     _as_u8(src, "src")
     if dst.shape != src.shape:
         raise GaloisError("addmul: shape mismatch")
-    if not 0 <= coeff < 256:
-        raise GaloisError(f"coefficient out of range: {coeff!r}")
-    if coeff == 0:
-        return dst
-    if coeff == 1:
-        np.bitwise_xor(dst, src, out=dst)
-        return dst
-    np.bitwise_xor(dst, GF_MUL[coeff][src], out=dst)
+    _check_coeff(coeff)
+    if coeff:
+        step = _step(dst)
+        for i in range(0, len(dst), step):
+            part = dst[i : i + step]
+            np.bitwise_xor(part, _product(coeff, src[i : i + step]), out=part)
     return dst
 
 
-def xor_many(buffers: Iterable[np.ndarray]) -> np.ndarray:
-    """XOR an iterable of equal-shape buffers together (new array)."""
-    result: "np.ndarray | None" = None
-    for buf in buffers:
-        _as_u8(buf, "buffer")
-        if result is None:
-            result = buf.copy()
-        else:
-            if buf.shape != result.shape:
-                raise GaloisError("xor_many: shape mismatch")
-            np.bitwise_xor(result, buf, out=result)
-    if result is None:
-        raise GaloisError("xor_many: empty input")
-    return result
+def combine(
+    out: Any, sources: Any, entries: "Iterable[Tuple[Any, Any, int]]"
+) -> None:
+    """Set ``out[o]`` to the XOR of ``coeff * sources[s]`` over ``entries``.
 
-
-def linear_combine(
-    coeffs: Sequence[int], buffers: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Return ``sum_i coeffs[i] * buffers[i]`` over GF(2^8) (new array).
-
-    The centralized form of a repair equation; PPR computes the same value
-    as a tree of :func:`scale` / :func:`xor_into` partial results.
+    ``entries`` are ``(o, s, coeff)`` triples — the shape of a recipe's
+    ``(lost_row, helper_row, coeff)`` — and ``out`` / ``sources`` anything
+    they index: a 2-D array, a list or a dict of equal-shape buffers.  The
+    ``out`` buffers need not be initialised: the first entry naming a row
+    writes it, later ones accumulate, and rows no entry names are left
+    alone.  Walked block-outer, entry-inner, so every coefficient applied
+    to a source block finds it cache-resident.
     """
-    if len(coeffs) != len(buffers):
-        raise GaloisError("linear_combine: length mismatch")
-    if not buffers:
-        raise GaloisError("linear_combine: empty input")
-    out = np.zeros_like(_as_u8(buffers[0], "buffer"))
-    for coeff, buf in zip(coeffs, buffers):
-        addmul(out, coeff, buf)
-    return out
+    entries = list(entries)
+    if not entries:
+        return
+    first = out[entries[0][0]]
+    shape = first.shape
+    for o, s, coeff in entries:
+        _check_coeff(coeff)
+        for buf in (_as_u8(out[o], "out"), _as_u8(sources[s], "source")):
+            if buf.shape != shape:
+                raise GaloisError("combine: shape mismatch")
+    step = _step(first)
+    for i in range(0, len(first), step):
+        written = set()
+        for o, s, coeff in entries:
+            product = _product(coeff, sources[s][i : i + step])
+            part = out[o][i : i + step]
+            if o in written:
+                np.bitwise_xor(part, product, out=part)
+            else:
+                part[...] = product
+                written.add(o)

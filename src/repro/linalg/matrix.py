@@ -1,8 +1,9 @@
 """Dense matrices over GF(2^8).
 
-Backed by numpy uint8 arrays.  Matrix-matrix and matrix-buffer products use
-the GF multiplication table row-wise, which is fast enough for the small
-matrices erasure coding needs (k+m <= 255) while staying pure numpy.
+Backed by numpy uint8 arrays.  The matrix algebra (products, inversion,
+rank) gathers the GF multiplication table row-wise, which is fast enough
+for the small matrices erasure coding needs (k+m <= 255); the bulk
+matrix-buffer product runs on :func:`repro.galois.vector.combine`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from repro.errors import GaloisError, SingularMatrixError
 from repro.galois.field import gf256
 from repro.galois.tables import GF_MUL
+from repro.galois.vector import combine
 
 
 class GFMatrix:
@@ -138,17 +140,14 @@ class GFMatrix:
         if buffers.dtype != np.uint8:
             raise GaloisError("mul_buffer: buffers must be uint8")
         out = np.zeros((self.rows, buffers.shape[1]), dtype=np.uint8)
-        for j in range(self.cols):
-            src = buffers[j]
-            coeffs = self._data[:, j]
-            for i in range(self.rows):
-                coeff = coeffs[i]
-                if coeff == 0:
-                    continue
-                if coeff == 1:
-                    np.bitwise_xor(out[i], src, out=out[i])
-                else:
-                    np.bitwise_xor(out[i], GF_MUL[coeff][src], out=out[i])
+        combine(
+            out,
+            buffers,
+            [
+                (i, j, int(self._data[i, j]))
+                for i, j in np.argwhere(self._data).tolist()
+            ],
+        )
         return out
 
     # ------------------------------------------------------------------

@@ -4,9 +4,8 @@ The paper's prototype uses Jerasure/GF-Complete (SIMD C); reconstruction
 compute is a small but measurable slice of total time (Fig 1, Fig 7f).
 Defaults below are Jerasure-class throughputs so the simulated regime
 matches the paper's ("network dominates, compute visible but small");
-:data:`NUMPY_PROFILE` carries this machine's measured pure-numpy kernel
-throughputs for experiments that want self-consistency with the real
-executor instead.
+what this repo's own pure-python kernel reaches is measured, not
+modeled: the ``galois.*`` rungs of ``benchmarks/perf``.
 
 Modeled costs:
 
@@ -68,10 +67,6 @@ class ComputeModel:
             chunk_bytes
         )
 
-
-#: This machine's measured pure-numpy throughputs (see benchmarks/fig7f):
-#: table-gather GF multiply ~0.09 GB/s, bitwise XOR ~3 GB/s.
-NUMPY_PROFILE = ComputeModel(mul_bandwidth=9.0e7, xor_bandwidth=3.0e9)
 
 #: Jerasure/GF-Complete-class SIMD throughputs (paper's prototype regime).
 JERASURE_PROFILE = ComputeModel()

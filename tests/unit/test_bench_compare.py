@@ -45,7 +45,7 @@ def test_identical_dirs_pass(dirs):
 
 
 def test_synthetic_regression_fails(dirs):
-    """A 50% slowdown on a kept metric trips the +/-25% gate."""
+    """A 50% slowdown on a kept metric trips the 25% gate."""
     baseline, fresh = dirs
     _write(baseline, "BENCH_x.json", [_metric("t.median", 1.0)])
     _write(fresh, "BENCH_x.json", [_metric("t.median", 1.5)])
@@ -62,6 +62,28 @@ def test_within_tolerance_passes(dirs):
     _write(baseline, "BENCH_x.json", [_metric("t.median", 1.0)])
     _write(fresh, "BENCH_x.json", [_metric("t.median", 1.2)])
     assert bench_compare.compare_dirs(baseline, fresh, out=io.StringIO()) == 0
+
+
+def test_faster_median_passes_as_improved(dirs):
+    """Wall-clock medians are one-sided: 4x faster passes, 2x slower fails."""
+    baseline, fresh = dirs
+    _write(baseline, "BENCH_x.json", [_metric("t.median", 1.0)])
+    _write(fresh, "BENCH_x.json", [_metric("t.median", 0.25)])
+    out = io.StringIO()
+    assert bench_compare.compare_dirs(baseline, fresh, out=out) == 0
+    assert "improved" in out.getvalue() and "PASS" in out.getvalue()
+    _write(fresh, "BENCH_x.json", [_metric("t.median", 2.0)])
+    out = io.StringIO()
+    assert bench_compare.compare_dirs(baseline, fresh, out=out) == 1
+    assert "improved" not in out.getvalue()
+
+
+def test_model_metric_drift_fails_in_both_directions(dirs):
+    """Only ``.median`` is one-sided; a simulator output 4x lower is drift."""
+    baseline, fresh = dirs
+    _write(baseline, "BENCH_x.json", [_metric("e.repair_time", 1.0)])
+    _write(fresh, "BENCH_x.json", [_metric("e.repair_time", 0.25)])
+    assert bench_compare.compare_dirs(baseline, fresh, out=io.StringIO()) == 1
 
 
 def test_unstable_stats_are_skipped(dirs):

@@ -175,6 +175,9 @@ class TestVirtualProfiler:
         repairs, the two arms interleave (same thermal/steal-time
         environment), each arm keeps its floor, and the asserted budget
         is 10% to leave the true ~3% overhead headroom for jitter.
+        Twenty rounds, not eight: since the GF kernel got faster a batch
+        is ~15 ms, and late in a full suite run a floor of eight read
+        over budget about once in 25 tries (0 in 50 with twenty).
         """
         def timed(fn):
             t0 = time.perf_counter()
@@ -191,7 +194,7 @@ class TestVirtualProfiler:
 
         _repair_fingerprint()  # warm caches (imports, GF tables)
         plain = profiled = float("inf")
-        for _ in range(8):
+        for _ in range(20):
             plain = min(plain, timed(plain_batch))
             profiled = min(profiled, timed(profiled_batch))
         assert profiled <= plain * 1.10, (

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.compute import JERASURE_PROFILE, NUMPY_PROFILE, ComputeModel
+from repro.sim.compute import JERASURE_PROFILE, ComputeModel
 
 
 def test_multiply_time_scales_with_bytes():
@@ -41,7 +41,7 @@ def test_table2_critical_path_times():
 
 
 def test_profiles_exist():
-    assert NUMPY_PROFILE.mul_bandwidth < JERASURE_PROFILE.mul_bandwidth
+    assert JERASURE_PROFILE == ComputeModel()
 
 
 def test_invalid_bandwidth_rejected():

@@ -12,7 +12,11 @@ Which metrics are compared
     ``.max`` / ``.mean`` / ``.stddev`` / ``.rounds``) are noisy across
     machines and are skipped.  ``.median`` timings and all experiment
     metrics saved through ``save_report`` (simulator output — fully
-    deterministic) are kept.  Records are keyed by
+    deterministic) are kept.  Experiment metrics are two-sided: drift in
+    either direction fails.  ``.median`` timings are wall-clock seconds
+    and one-sided: slower than the band fails, faster passes and is
+    marked ``improved`` in the table, so a speed-up never forces a
+    baseline refresh.  Records are keyed by
     ``(metric, sorted config items, occurrence index)`` so the same
     metric measured under different workload configs — or repeated
     per-row — compares against its true counterpart.
@@ -22,9 +26,10 @@ Usage::
     python tools/bench_compare.py --fresh /tmp/bench-out
     python tools/bench_compare.py --fresh results --tolerance 0.25
 
-Exit status: 0 when every compared metric is within tolerance, 1 on any
-regression/improvement outside the band or a missing counterpart file.
-Comparing the baselines against themselves is always a pass.
+Exit status: 0 when every compared metric is within tolerance (or a
+faster ``.median``), 1 on any slowdown or model-metric drift outside the
+band or a missing counterpart file.  Comparing the baselines against
+themselves is always a pass.
 """
 
 from __future__ import annotations
@@ -41,11 +46,14 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Default committed-baseline directory.
 DEFAULT_BASELINE_DIR = REPO_ROOT / "results"
 
-#: Relative drift allowed for kept metrics (0.25 == +/-25%).
+#: Relative drift allowed for kept metrics (0.25 == 25%).
 DEFAULT_TOLERANCE = 0.25
 
 #: Unstable pytest-benchmark stat suffixes, never compared.
 SKIP_SUFFIXES = (".min", ".max", ".mean", ".stddev", ".rounds")
+
+#: Wall-clock stat suffix: lower is better, so only a slowdown fails.
+ONE_SIDED_SUFFIX = ".median"
 
 #: Baseline values this close to zero are compared absolutely instead.
 _ABS_EPSILON = 1e-12
@@ -114,12 +122,17 @@ def compare_file(
         else:
             delta_pct = (fresh_value - base_value) / abs(base_value) * 100.0
             ok = abs(delta_pct) <= tolerance * 100.0
-        if not ok:
+        if ok:
+            status = "ok"
+        elif name.endswith(ONE_SIDED_SUFFIX) and delta_pct < 0:
+            status = "improved"
+        else:
+            status = "FAIL"
             failures += 1
         rows.append({
             "metric": name, "config": config, "index": index,
             "baseline": base_value, "fresh": fresh_value,
-            "delta_pct": delta_pct, "status": "ok" if ok else "FAIL",
+            "delta_pct": delta_pct, "status": status,
         })
     return rows, failures
 
@@ -139,8 +152,8 @@ def _fmt_delta(delta) -> str:
 
 
 def render_table(slug: str, rows: "List[Dict[str, object]]") -> str:
-    """The per-file delta table, failures always shown, passes elided
-    beyond a short head so CI logs stay readable."""
+    """The per-file delta table, failures and improvements always shown,
+    passes elided beyond a short head so CI logs stay readable."""
     lines = [f"== {slug} =="]
     header = (
         f"  {'METRIC':<44} {'BASELINE':>12} {'FRESH':>12} "
@@ -199,7 +212,7 @@ def compare_dirs(
     verdict = "PASS" if total_failures == 0 else "FAIL"
     print(
         f"\nbench_compare: {compared} metrics compared, "
-        f"{total_failures} outside +/-{tolerance:.0%} -> {verdict}",
+        f"{total_failures} outside the {tolerance:.0%} band -> {verdict}",
         file=out,
     )
     return total_failures
@@ -223,7 +236,8 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=DEFAULT_TOLERANCE,
-        help="allowed relative drift (default 0.25 == +/-25%%)",
+        help="allowed relative drift (default 0.25: +/-25%% on model "
+        "metrics, +25%% on .median timings)",
     )
     args = parser.parse_args(argv)
     failures = compare_dirs(args.baseline, args.fresh, args.tolerance)

@@ -109,8 +109,9 @@ def check_cli_examples(path: pathlib.Path, parser) -> "list[str]":
         except ValueError as exc:
             errors.append(f"{rel}:{lineno}: unparseable example: {exc}")
             continue
-        # drop "python -m repro" and anything shell-side (pipes, redirects)
-        for stop in ("|", ">", ">>", "2>", "&&", ";"):
+        # drop "python -m repro" and anything shell-side (pipes, redirects,
+        # backgrounding)
+        for stop in ("|", ">", ">>", "2>", "&&", ";", "&"):
             if stop in argv:
                 argv = argv[: argv.index(stop)]
         argv = argv[3:]
