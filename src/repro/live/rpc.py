@@ -9,6 +9,16 @@ each incoming frame on its own task, so a long-running handler (the
 repair destination waiting for its subtree) never blocks pings or
 partial results arriving on the same connection.
 
+Both ends sit on one :class:`Connection`, an ``asyncio.BufferedProtocol``:
+no reader task, no stream buffer.  The event loop ``recv_into``s the view
+its :class:`~repro.live.wire.FrameParser` names and each completed frame
+goes to its owner from that callback.  A received frame owns its body:
+its buffers are writable, disjoint views nothing else holds, so handlers
+may aggregate into them in place.  Outbound, a frame's parts are written
+back to back with no ``await`` (hence no write lock); ``drain()`` returns
+at once unless the transport is over its high-water mark, then waits for
+``resume_writing`` — the peer reading again — or the connection's death.
+
 Streaming (wire protocol v2) rides on the same request/response calls:
 :class:`StreamSender` drives one outbound BEGIN / DATA* / END sequence
 with a bounded send window, and :class:`StreamInbox` holds each inbound
@@ -49,9 +59,9 @@ from repro.live.config import LiveConfig
 from repro.live.wire import (
     FLAG_ERROR,
     Frame,
+    FrameParser,
     MessageType,
     error_frame,
-    read_frame,
     response_frame,
     write_frame,
 )
@@ -80,15 +90,83 @@ class Address:
         return f"{self.host}:{self.port}"
 
 
+class Connection(asyncio.BufferedProtocol):
+    """One framed TCP connection, either end: received bytes land where
+    the parser says, ``write``/``drain`` are what ``write_frame`` needs."""
+
+    def __init__(
+        self,
+        max_frame_bytes: int,
+        on_frame: "Callable[[Connection, Frame], None]",
+        on_lost: "Callable[[Connection, Optional[Exception]], None]",
+    ):
+        self._parser = FrameParser(max_frame_bytes)
+        self._on_frame = on_frame
+        self._on_lost = on_lost
+        self._transport: "Optional[asyncio.Transport]" = None
+        self._error: "Optional[Exception]" = None
+        #: Pending while the transport wants writers to hold off.
+        self._resumed: "Optional[asyncio.Future[None]]" = None
+
+    # -- asyncio callbacks ----------------------------------------------
+    def connection_made(self, transport) -> None:  # a socket Transport
+        self._transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._parser.get_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        try:
+            for frame in self._parser.buffer_updated(nbytes):
+                self._on_frame(self, frame)
+        except WireFormatError as exc:
+            self._error = exc
+            self.close(abort=True)
+
+    def eof_received(self) -> None:
+        try:
+            self._parser.eof()
+        except WireFormatError as exc:
+            self._error = exc
+
+    def pause_writing(self) -> None:
+        self._resumed = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None:  # never done before: waiters shield it
+            resumed.set_result(None)
+
+    def connection_lost(self, exc: "Optional[Exception]") -> None:
+        self.resume_writing()
+        self._on_lost(self, exc or self._error)
+
+    # -- writer side ----------------------------------------------------
+    def write(self, data: "bytes | memoryview") -> None:
+        self._transport.write(data)  # type: ignore[union-attr]
+
+    def is_closing(self) -> bool:
+        return self._transport is None or self._transport.is_closing()
+
+    async def drain(self) -> None:
+        if self._resumed is not None:
+            # Shielded: a cancelled waiter must not cancel everyone's future.
+            await asyncio.shield(self._resumed)
+        if self.is_closing():
+            raise ConnectionResetError("connection lost")
+
+    def close(self, abort: bool = False) -> None:
+        if self._transport is not None:
+            (self._transport.abort if abort else self._transport.close)()
+
+
 class RpcClient:
     """One peer's client: lazy connect, multiplexed calls, bounded retry."""
 
     def __init__(self, address: Address, config: "Optional[LiveConfig]" = None):
         self.address = address
         self.config = config or LiveConfig()
-        self._reader: "Optional[asyncio.StreamReader]" = None
-        self._writer: "Optional[asyncio.StreamWriter]" = None
-        self._reader_task: "Optional[asyncio.Task[None]]" = None
+        self._connection: "Optional[Connection]" = None
         self._pending: "Dict[int, asyncio.Future[Frame]]" = {}
         self._request_ids = itertools.count(1)
         self._connect_lock = asyncio.Lock()
@@ -97,16 +175,24 @@ class RpcClient:
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    async def _ensure_connected(self) -> None:
+    async def _ensure_connected(self) -> Connection:
+        connection = self._connection
+        if connection is not None and not connection.is_closing():
+            return connection
         async with self._connect_lock:
-            if self._writer is not None and not self._writer.is_closing():
-                return
+            connection = self._connection
+            if connection is not None and not connection.is_closing():
+                return connection
             if self._closed:
                 raise RpcConnectionError(f"client to {self.address} is closed")
             try:
-                self._reader, self._writer = await asyncio.wait_for(
-                    asyncio.open_connection(
-                        self.address.host, self.address.port
+                _, connection = await asyncio.wait_for(
+                    asyncio.get_running_loop().create_connection(
+                        lambda: Connection(
+                            self.config.max_frame_bytes, self._on_frame, self._on_lost
+                        ),
+                        self.address.host,
+                        self.address.port,
                     ),
                     timeout=self.config.connect_timeout,
                 )
@@ -114,38 +200,31 @@ class RpcClient:
                 raise RpcConnectionError(
                     f"cannot connect to {self.address}: {exc}"
                 ) from exc
-            self._reader_task = asyncio.create_task(self._read_loop())
+            self._connection = connection
+            return connection
 
-    async def _read_loop(self) -> None:
-        reader = self._reader
-        assert reader is not None
-        error: Exception = RpcConnectionError(
-            f"connection to {self.address} closed"
+    def _on_frame(self, connection: Connection, frame: Frame) -> None:
+        future = self._pending.pop(frame.request_id, None)
+        if future is not None and not future.done():
+            future.set_result(frame)
+
+    def _on_lost(self, connection: Connection, exc: "Optional[Exception]") -> None:
+        how = "closed" if exc is None else f"failed: {exc}"
+        self._drop_connection(
+            connection, RpcConnectionError(f"connection to {self.address} {how}")
         )
-        try:
-            while True:
-                frame = await read_frame(reader, self.config.max_frame_bytes)
-                if frame is None:
-                    break
-                future = self._pending.pop(frame.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            WireFormatError,
-        ) as exc:
-            error = RpcConnectionError(
-                f"connection to {self.address} failed: {exc}"
-            )
-        finally:
-            self._drop_connection(error)
 
-    def _drop_connection(self, error: Exception) -> None:
-        writer, self._writer, self._reader = self._writer, None, None
-        if writer is not None:
-            writer.close()
+    def _drop_connection(
+        self, connection: "Optional[Connection]", error: Exception
+    ) -> None:
+        """Close ``connection`` and fail every call pending on it — unless
+        it was dropped before (a send failure and the transport's own
+        loss report both land here, in either order)."""
+        if connection is not self._connection:
+            return
+        self._connection = None
+        if connection is not None:
+            connection.close()
         pending, self._pending = self._pending, {}
         for future in pending.values():
             if not future.done():
@@ -245,9 +324,7 @@ class RpcClient:
         buffers: "Optional[Dict[int, np.ndarray]]",
         timeout: float,
     ) -> Frame:
-        await self._ensure_connected()
-        writer = self._writer
-        assert writer is not None
+        connection = await self._ensure_connected()
         request_id = next(self._request_ids)
         frame = Frame(
             mtype=mtype,
@@ -258,46 +335,44 @@ class RpcClient:
             # in flight) as the optional __trace__ header field.
             trace=causal.current_wire(),
         )
-        future: "asyncio.Future[Frame]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[Frame]" = loop.create_future()
         self._pending[request_id] = future
         try:
-            write_frame(writer, frame)
-            await writer.drain()
+            write_frame(connection, frame)
+            await connection.drain()
         except (ConnectionError, OSError) as exc:
-            self._pending.pop(request_id, None)
+            # Fails ``future`` too (now, or already when the loss was
+            # reported first), so the await below raises for this call.
             self._drop_connection(
-                RpcConnectionError(f"send to {self.address} failed: {exc}")
+                connection,
+                RpcConnectionError(f"send to {self.address} failed: {exc}"),
             )
-            raise RpcConnectionError(
-                f"send to {self.address} failed: {exc}"
-            ) from exc
+        deadline = loop.call_later(timeout, self._expire, future, mtype, timeout)
         try:
-            response = await asyncio.wait_for(future, timeout=timeout)
-        except asyncio.TimeoutError as exc:
+            response = await future
+        finally:
+            deadline.cancel()
             self._pending.pop(request_id, None)
-            raise RpcTimeoutError(
-                f"{mtype.name} to {self.address} timed out after {timeout}s"
-            ) from exc
         if response.is_error:
             code, message = response.error_info()
             raise RpcRemoteError(code, message)
         return response
 
+    def _expire(
+        self, future: asyncio.Future, mtype: MessageType, timeout: float
+    ) -> None:
+        if not future.done():
+            message = f"{mtype.name} to {self.address} timed out after {timeout}s"
+            future.set_exception(RpcTimeoutError(message))
+
     async def close(self) -> None:
         """Tear the connection down; in-flight calls fail cleanly."""
         self._closed = True
         self._drop_connection(
-            RpcConnectionError(f"client to {self.address} closed")
+            self._connection,
+            RpcConnectionError(f"client to {self.address} closed"),
         )
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
 
 
 class RpcClientPool:
@@ -331,9 +406,8 @@ class RpcServer:
         self.config = config or LiveConfig()
         self._handlers: "Dict[MessageType, Handler]" = {}
         self._server: "Optional[asyncio.base_events.Server]" = None
-        self._writers: "Set[asyncio.StreamWriter]" = set()
+        self._connections: "Set[Connection]" = set()
         self._tasks: "Set[asyncio.Task[None]]" = set()
-        self._connections: "Set[asyncio.Task[None]]" = set()
         self.address: "Optional[Address]" = None
         #: Optional :class:`repro.obs.flight.FlightRecorder` tap: when
         #: set, every dispatched frame leaves an ``rpc`` event in the
@@ -347,8 +421,8 @@ class RpcServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: "Optional[str]" = None, port: int = 0) -> Address:
-        self._server = await asyncio.start_server(
-            self._serve_connection, host or self.config.host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, host or self.config.host, port
         )
         sock = self._server.sockets[0]
         bound_host, bound_port = sock.getsockname()[:2]
@@ -358,31 +432,23 @@ class RpcServer:
     async def close(self, abort: bool = False) -> None:
         """Stop serving.  ``abort=True`` resets connections (crash-style),
         which is how tests simulate a server dying mid-repair."""
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except Exception:
-                pass
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._tasks):
             task.cancel()
-        for writer in list(self._writers):
-            transport = writer.transport
-            if abort and transport is not None:
-                transport.abort()
-            else:
-                writer.close()
-        self._writers.clear()
-        # Let connection loops observe the close and finish on their own;
-        # reaping them here keeps the event loop free of orphaned tasks.
-        for task in list(self._tasks) + list(self._connections):
+        for connection in list(self._connections):
+            connection.close(abort)
+        self._connections.clear()
+        # Reaping the handlers here keeps the event loop free of orphans.
+        for task in list(self._tasks):
             try:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
         self._tasks.clear()
-        self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
 
     @property
     def serving(self) -> bool:
@@ -391,45 +457,22 @@ class RpcServer:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    frame = await read_frame(
-                        reader, self.config.max_frame_bytes
-                    )
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    OSError,
-                    WireFormatError,
-                ):
-                    break
-                if frame is None:
-                    break
-                task = asyncio.create_task(
-                    self._dispatch(frame, writer, write_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        finally:
-            self._writers.discard(writer)
-            writer.close()
+    def _accept(self) -> Connection:
+        connection = Connection(
+            self.config.max_frame_bytes, self._on_frame, self._on_lost
+        )
+        self._connections.add(connection)
+        return connection
 
-    async def _dispatch(
-        self,
-        frame: Frame,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    def _on_frame(self, connection: Connection, frame: Frame) -> None:
+        task = asyncio.create_task(self._dispatch(frame, connection))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _on_lost(self, connection: Connection, exc: "Optional[Exception]") -> None:
+        self._connections.discard(connection)
+
+    async def _dispatch(self, frame: Frame, connection: Connection) -> None:
         handler = self._handlers.get(frame.mtype)
         try:
             if handler is None:
@@ -477,14 +520,13 @@ class RpcServer:
                 )
             except Exception:
                 pass  # the recorder must never break dispatch
-        async with write_lock:
-            if writer.is_closing():
-                return
-            try:
-                write_frame(writer, response)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # peer is gone; it will retry or time out
+        if connection.is_closing():
+            return
+        try:
+            write_frame(connection, response)
+            await connection.drain()
+        except (ConnectionError, OSError):
+            pass  # peer is gone; it will retry or time out
 
 
 # ----------------------------------------------------------------------

@@ -38,14 +38,18 @@ emits stream types, and every v1 frame is bit-identical under v2 — and
 reject anything else.  The normative spec is ``docs/PROTOCOL.md``.
 
 Senders should prefer :func:`write_frame` (or :func:`frame_parts`) over
-:func:`encode_frame`: it writes each buffer's ``memoryview`` straight to
-the transport, so slicing a chunk into stream segments never copies the
-payload bytes.
+:func:`encode_frame`: each buffer's ``memoryview`` goes to the transport
+as its own write, so this module copies no payload byte on the way out.
+A part the socket will not take at once is asyncio's business: CPython
+<= 3.11 appends the unsent tail to a ``bytearray`` (one copy of that
+tail), 3.12 keeps the view and ``sendmsg``s it later.  Receivers feed the
+socket through one sans-I/O :class:`FrameParser`; a body that outgrows
+its small scratch is received in place and :func:`decode_body` cuts
+``np.frombuffer`` views out of it, so nothing is copied on the way in.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import json
 import struct
@@ -59,7 +63,7 @@ from repro.errors import ReproError, WireFormatError
 MAGIC = b"PP"
 #: Version stamped on every emitted frame.
 VERSION = 2
-#: Versions :func:`read_frame` accepts.  v1 is the pre-stream protocol —
+#: Versions :class:`FrameParser` accepts.  v1 is the pre-stream protocol —
 #: a strict subset of v2 — so old peers interoperate unmodified.
 SUPPORTED_VERSIONS = (1, 2)
 
@@ -153,13 +157,13 @@ def slice_bounds(length: int, num_slices: int) -> "List[int]":
 
 
 def frame_parts(frame: Frame) -> "List[Union[bytes, memoryview]]":
-    """Serialize a frame as a list of write-ready parts (zero-copy).
+    """Serialize a frame as a list of write-ready parts.
 
     The first part is the fixed header plus JSON header; each buffer
     follows as a ``memoryview`` over its array — a stream segment that is
-    a slice view of the sender's partial rows goes on the socket without
-    ever being copied.  Non-contiguous or non-uint8 buffers fall back to
-    a contiguous copy, which is the only way to put them on a wire.
+    a slice view of the sender's partial rows reaches the transport
+    without being copied here.  Non-contiguous or non-uint8 buffers fall
+    back to a contiguous copy, which is the only way to put them on a wire.
     """
     header = dict(frame.payload)
     index = []
@@ -189,13 +193,15 @@ def frame_parts(frame: Frame) -> "List[Union[bytes, memoryview]]":
     return [head, *views]
 
 
-def write_frame(writer: asyncio.StreamWriter, frame: Frame) -> None:
-    """Queue a frame on ``writer`` without copying its buffers.
-
-    Callers still ``await writer.drain()`` themselves — batching several
-    frames before one drain is valid and the transport handles it.
+def write_frame(writer, frame: Frame) -> None:
+    """Write a frame to ``writer`` (anything with a transport's ``write``)
+    part by part, with no ``join`` and no ``await`` in between — frames of
+    concurrent tasks never interleave, so no write lock is needed.
+    Callers still ``await writer.drain()`` themselves; batching several
+    frames before one drain is valid.
     """
-    writer.writelines(frame_parts(frame))
+    for part in frame_parts(frame):
+        writer.write(part)
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -204,7 +210,12 @@ def encode_frame(frame: Frame) -> bytes:
 
 
 def decode_body(mtype: int, flags: int, request_id: int, body: bytes) -> Frame:
-    """Rebuild a frame from its body bytes (header already parsed)."""
+    """Rebuild a frame from its body bytes (header already parsed).
+
+    The buffers are disjoint ``np.frombuffer`` views over ``body`` — no
+    copy, writable exactly when ``body`` is (:class:`FrameParser` passes a
+    ``bytearray``) — so the caller must not reuse ``body`` afterwards.
+    """
     if len(body) < 4:
         raise WireFormatError("frame body shorter than its JSON length word")
     (json_len,) = struct.unpack_from("!I", body, 0)
@@ -225,7 +236,7 @@ def decode_body(mtype: int, flags: int, request_id: int, body: bytes) -> Frame:
             raise WireFormatError("buffer index overruns frame body")
         buffers[int(key)] = np.frombuffer(
             body, dtype=np.uint8, count=int(length), offset=offset
-        ).copy()
+        )
         offset += int(length)
     if offset != len(body):
         raise WireFormatError(
@@ -248,31 +259,77 @@ def decode_body(mtype: int, flags: int, request_id: int, body: bytes) -> Frame:
     )
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame_bytes: int
-) -> "Optional[Frame]":
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+class FrameParser:
+    """Sans-I/O incremental frame decoder of one connection.
 
-    Raises :class:`WireFormatError` on garbage and
-    :class:`asyncio.IncompleteReadError` when the peer dies mid-frame.
+    Shaped for ``asyncio.BufferedProtocol``: :meth:`get_buffer` is the
+    (never empty) view the next received bytes must land in,
+    :meth:`buffer_updated` returns the frames they completed.  Headers and
+    small frames land in a fixed scratch; a body still incomplete when its
+    header is parsed gets its ``bytearray`` — after the ``max_frame_bytes``
+    check, never before — and the view handed out is its unfilled tail.
+    A finished body belongs to its frame; the parser never touches it again.
     """
-    try:
-        head = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise
-    magic, version, mtype, flags, request_id, body_len = HEADER.unpack(head)
-    if magic != MAGIC:
-        raise WireFormatError(f"bad magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
-        raise WireFormatError(f"unsupported protocol version {version}")
-    if body_len > max_frame_bytes:
-        raise WireFormatError(
-            f"frame of {body_len} bytes exceeds cap {max_frame_bytes}"
-        )
-    body = await reader.readexactly(body_len)
-    return decode_body(mtype, flags, request_id, body)
+
+    SCRATCH_BYTES = 8192
+
+    def __init__(self, max_frame_bytes: int):
+        self.max_frame_bytes = max_frame_bytes
+        self._scratch = memoryview(bytearray(self.SCRATCH_BYTES))
+        self._filled = 0  # scratch bytes not parsed yet (< HEADER.size at rest)
+        self._head: "Tuple[int, int, int]" = (0, 0, 0)
+        self._body: "Optional[bytearray]" = None
+        self._body_filled = 0
+
+    def get_buffer(self) -> memoryview:
+        if self._body is not None:
+            return memoryview(self._body)[self._body_filled :]
+        return self._scratch[self._filled :]
+
+    def buffer_updated(self, nbytes: int) -> "List[Frame]":
+        """Account for ``nbytes`` written into the last :meth:`get_buffer`.
+        Raises :class:`WireFormatError` on garbage; the parser is dead
+        after that and the connection must be dropped."""
+        if self._body is not None:
+            self._body_filled += nbytes
+            if self._body_filled < len(self._body):
+                return []
+            body, self._body = self._body, None
+            return [decode_body(*self._head, body)]
+        frames: "List[Frame]" = []
+        scratch, pos, end = self._scratch, 0, self._filled + nbytes
+        while end - pos >= HEADER.size:
+            magic, version, mtype, flags, request_id, body_len = (
+                HEADER.unpack_from(scratch, pos)
+            )
+            if magic != MAGIC:
+                raise WireFormatError(f"bad magic {magic!r}")
+            if version not in SUPPORTED_VERSIONS:
+                raise WireFormatError(f"unsupported protocol version {version}")
+            if body_len > self.max_frame_bytes:
+                raise WireFormatError(
+                    f"frame of {body_len} bytes exceeds cap {self.max_frame_bytes}"
+                )
+            pos += HEADER.size
+            if end - pos < body_len:
+                # Incomplete: the rest is received straight into the body.
+                self._head = (mtype, flags, request_id)
+                self._body = bytearray(body_len)
+                self._body[: end - pos] = scratch[pos:end]
+                self._body_filled = end - pos
+                pos = end
+                break
+            body = bytearray(scratch[pos : pos + body_len])
+            frames.append(decode_body(mtype, flags, request_id, body))
+            pos += body_len
+        scratch[: end - pos] = scratch[pos:end]
+        self._filled = end - pos
+        return frames
+
+    def eof(self) -> None:
+        """The peer closed: fine at a frame boundary, an error inside one."""
+        if self._body is not None or self._filled:
+            raise WireFormatError("connection closed inside a frame")
 
 
 def response_frame(

@@ -316,7 +316,9 @@ class FlowNetwork:
         links = sorted(link_set, key=lambda ln: ln.name)
         for link in links:
             residual[link] = link.effective_capacity()
-            link_unfrozen[link] = sum(1 for f in link.flows if f in unfrozen)
+            # Every flow on a link is active (_attach/_detach move both
+            # sets together) and nothing is frozen yet.
+            link_unfrozen[link] = len(link.flows)
 
         while unfrozen:
             # The bottleneck link is the one with the smallest equal share.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -14,8 +15,14 @@ from repro.errors import (
     RpcTimeoutError,
 )
 from repro.live.config import LiveConfig
-from repro.live.rpc import Address, RpcClient, RpcClientPool, RpcServer
-from repro.live.wire import Frame, MessageType
+from repro.live.rpc import (
+    Address,
+    Connection,
+    RpcClient,
+    RpcClientPool,
+    RpcServer,
+)
+from repro.live.wire import Frame, MessageType, encode_frame, write_frame
 
 CONFIG = LiveConfig(
     connect_timeout=1.0,
@@ -238,6 +245,194 @@ class TestRpcFailures:
                 await server.close()
 
         run(scenario())
+
+
+class TestTransport:
+    """The receive-into connection over real loopback sockets."""
+
+    BIG = 32 * 1024 * 1024  # larger than any socket buffer
+
+    @staticmethod
+    async def echo_buffers(frame: Frame):
+        return {"writable": all(b.flags.writeable for b in frame.buffers.values())}, dict(
+            frame.buffers
+        )
+
+    def test_big_frame_roundtrips_while_ping_answers(self):
+        async def scenario():
+            server = await echo_server()
+            server.register(MessageType.PUT_CHUNK, self.echo_buffers)
+            client = RpcClient(server.address, CONFIG)
+            payload = np.random.default_rng(7).integers(
+                0, 256, size=self.BIG, dtype=np.uint8
+            )
+            try:
+                big, ping = await asyncio.gather(
+                    client.call(
+                        MessageType.PUT_CHUNK, {}, {0: payload}, timeout=30.0
+                    ),
+                    client.call(MessageType.PING, {"n": 1}, timeout=30.0),
+                )
+                assert client._connection is not None  # one connection, kept
+                return payload, big, ping
+            finally:
+                await client.close()
+                await server.close()
+
+        payload, big, ping = run(scenario())
+        assert ping.payload["echo"] == {"n": 1}
+        assert big.payload == {"writable": True}
+        assert big.buffers[0].tobytes() == payload.tobytes()
+
+    def test_drain_blocks_on_a_stalled_reader_and_resumes(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            listener = socket.create_server(("127.0.0.1", 0))
+            listener.setblocking(False)
+            lost = []
+            _, connection = await loop.create_connection(
+                lambda: Connection(
+                    1 << 20, lambda c, f: None, lambda c, e: lost.append(e)
+                ),
+                *listener.getsockname(),
+            )
+            peer, _ = await loop.sock_accept(listener)  # accepts, never reads
+            frame = Frame(
+                MessageType.PUT_CHUNK, 1, {},
+                {0: np.zeros(1 << 20, dtype=np.uint8)},
+            )
+            sent = 0
+            try:
+                while True:  # fill the socket, then the transport buffer
+                    write_frame(connection, frame)
+                    sent += 1
+                    try:
+                        await asyncio.wait_for(connection.drain(), 0.05)
+                    except asyncio.TimeoutError:
+                        break
+                    assert sent < 256, "drain never blocked"
+                blocked = asyncio.ensure_future(connection.drain())
+                cancelled = asyncio.ensure_future(connection.drain())
+                await asyncio.sleep(0.05)
+                assert not blocked.done()
+                cancelled.cancel()  # one waiter leaving must not wake or
+                await asyncio.sleep(0)  # cancel the other
+                assert not blocked.done()
+                received = 0
+                while not blocked.done():
+                    received += len(await loop.sock_recv(peer, 1 << 20))
+                await blocked  # resumed, no error
+                assert received > 0 and not lost
+            finally:
+                connection.close(abort=True)
+                peer.close()
+                listener.close()
+
+        run(scenario())
+
+    def test_abort_mid_frame_fails_every_call_and_leaves_nothing(self):
+        async def scenario():
+            server = await echo_server()
+            server.register(MessageType.PUT_CHUNK, self.echo_buffers)
+            client = RpcClient(server.address, CONFIG)
+            calls = [
+                asyncio.ensure_future(
+                    client.call(
+                        MessageType.HEARTBEAT, {}, timeout=30.0, retries=0
+                    )
+                )
+                for _ in range(3)
+            ]
+            calls.append(
+                asyncio.ensure_future(
+                    client.call(
+                        MessageType.PUT_CHUNK,
+                        {},
+                        {0: np.zeros(self.BIG, dtype=np.uint8)},
+                        timeout=30.0,
+                        retries=0,
+                    )
+                )
+            )
+
+            def mid_frame():
+                return any(
+                    c._parser._body is not None for c in server._connections
+                )
+
+            for _ in range(2000):
+                if mid_frame() and len(server._tasks) == 3:
+                    break
+                await asyncio.sleep(0.001)
+            assert mid_frame(), "server never caught inside the big frame"
+            await server.close(abort=True)
+            results = await asyncio.gather(*calls, return_exceptions=True)
+            assert all(isinstance(r, RpcConnectionError) for r in results), results
+            assert not server._tasks and not server._connections
+            assert not client._pending and client._connection is None
+            await client.close()
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "reply, reason",
+        [
+            (b"", "closed"),  # EOF at a frame boundary: a clean close
+            (encode_frame(Frame(MessageType.PING, 1))[:-3], "inside a frame"),
+            (b"XX" + bytes(32), "bad magic"),
+        ],
+    )
+    def test_peer_close_and_garbage_fail_the_call_with_the_reason(self, reply, reason):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            listener = socket.create_server(("127.0.0.1", 0))
+            listener.setblocking(False)
+            client = RpcClient(Address(*listener.getsockname()), CONFIG)
+            call = asyncio.ensure_future(
+                client.call(MessageType.PING, {}, timeout=5.0, retries=0)
+            )
+            peer, _ = await loop.sock_accept(listener)
+            try:
+                await loop.sock_recv(peer, 1 << 16)  # the request
+                await loop.sock_sendall(peer, reply)
+                peer.close()
+                with pytest.raises(RpcConnectionError, match=reason):
+                    await call
+                assert not client._pending and client._connection is None
+            finally:
+                listener.close()
+                await client.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("size", [64, 1 << 16])  # scratch / own body
+    def test_received_buffers_are_owned_writable_and_disjoint(self, size):
+        sources = {
+            0: np.full(size, 3, dtype=np.uint8),
+            1: np.full(size, 5, dtype=np.uint8),
+        }
+
+        async def scenario():
+            server = await echo_server()
+
+            async def serve_sources(frame: Frame):
+                return {}, sources
+
+            server.register(MessageType.GET_CHUNK, serve_sources)
+            client = RpcClient(server.address, CONFIG)
+            try:
+                return await client.call(MessageType.GET_CHUNK, {})
+            finally:
+                await client.close()
+                await server.close()
+
+        a, b = (run(scenario()).buffers[key] for key in (0, 1))
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        a ^= 0xFF
+        assert (a == 0xFC).all() and (b == 5).all()
+        assert (sources[0] == 3).all() and (sources[1] == 5).all()
 
 
 class TestRpcClientPool:

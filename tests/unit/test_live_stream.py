@@ -35,12 +35,13 @@ from repro.live.wire import (
     SUPPORTED_VERSIONS,
     VERSION,
     Frame,
+    FrameParser,
     MessageType,
     encode_frame,
     frame_parts,
-    read_frame,
     slice_bounds,
 )
+from tests.unit.test_live_wire import feed
 
 CONFIG = LiveConfig(
     connect_timeout=1.0,
@@ -56,6 +57,14 @@ CONFIG = LiveConfig(
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def parse_one(raw: bytes) -> Frame:
+    """The single frame a receiver makes of ``raw`` followed by EOF."""
+    parser = FrameParser(CONFIG.max_frame_bytes)
+    (frame,) = feed(parser, raw)
+    parser.eof()
+    return frame
 
 
 # ----------------------------------------------------------------------
@@ -94,13 +103,7 @@ class TestWireV2Encoding:
         assert encode_frame(self.golden_frame()).hex() == self.GOLDEN_HEX
 
     def test_golden_bytes_decode(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(bytes.fromhex(self.GOLDEN_HEX))
-            reader.feed_eof()
-            return await read_frame(reader, CONFIG.max_frame_bytes)
-
-        frame = run(scenario())
+        frame = parse_one(bytes.fromhex(self.GOLDEN_HEX))
         assert frame.mtype is MessageType.STREAM_DATA
         assert frame.request_id == 7
         assert frame.payload["slice_index"] == 3
@@ -113,29 +116,15 @@ class TestWireV2Encoding:
     def test_reader_accepts_supported_versions(self, version):
         raw = bytearray(encode_frame(self.golden_frame()))
         raw[2] = version
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(bytes(raw))
-            reader.feed_eof()
-            return await read_frame(reader, CONFIG.max_frame_bytes)
-
-        frame = run(scenario())
+        frame = parse_one(bytes(raw))
         assert frame.payload["stream_id"] == "r1/cs-00"
 
     @pytest.mark.parametrize("version", [0, 3, 9, 255])
     def test_reader_rejects_unknown_versions(self, version):
         raw = bytearray(encode_frame(self.golden_frame()))
         raw[2] = version
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(bytes(raw))
-            reader.feed_eof()
-            return await read_frame(reader, CONFIG.max_frame_bytes)
-
-        with pytest.raises(WireFormatError):
-            run(scenario())
+        with pytest.raises(WireFormatError, match="version"):
+            parse_one(bytes(raw))
 
     def test_writer_emits_version_2(self):
         raw = encode_frame(self.golden_frame())

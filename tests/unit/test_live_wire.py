@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import struct
 
 import numpy as np
@@ -14,11 +13,11 @@ from repro.live.wire import (
     MAGIC,
     VERSION,
     Frame,
+    FrameParser,
     MessageType,
     decode_body,
     encode_frame,
     error_frame,
-    read_frame,
     response_frame,
 )
 
@@ -157,31 +156,40 @@ class TestMalformedInput:
             decode_body(int(MessageType.PING), 0, 1, body)
 
 
+def feed(parser: FrameParser, data: bytes, chunks=()):
+    """Push ``data`` through ``parser`` the way a transport would: each
+    ``recv_into`` delivers the next of ``chunks`` bytes (then everything
+    left), but never more than the view the parser offered."""
+    frames, at, sizes = [], 0, iter(chunks)
+    while at < len(data):
+        view = parser.get_buffer()
+        assert len(view) > 0, "asyncio must never be handed an empty buffer"
+        n = min(len(view), next(sizes, len(data)), len(data) - at)
+        view[:n] = data[at : at + n]
+        at += n
+        frames.extend(parser.buffer_updated(n))
+    return frames
+
+
 class TestReadFrame:
     @staticmethod
     def _read_all(data: bytes, max_frame_bytes: int = 1 << 20):
-        """Feed bytes to a fresh reader and pull frames until EOF."""
-
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            frames = []
-            while True:
-                frame = await read_frame(reader, max_frame_bytes)
-                frames.append(frame)
-                if frame is None:
-                    return frames
-
-        return asyncio.run(run())
+        """Feed bytes to a fresh parser, then EOF; ``None`` marks a clean
+        close at a frame boundary."""
+        parser = FrameParser(max_frame_bytes)
+        frames = feed(parser, data)
+        parser.eof()
+        return frames + [None]
 
     def test_clean_eof_returns_none(self):
         assert self._read_all(b"") == [None]
 
     def test_mid_frame_eof_raises(self):
         raw = encode_frame(Frame(mtype=MessageType.PING, request_id=1))
-        with pytest.raises(asyncio.IncompleteReadError):
+        with pytest.raises(WireFormatError, match="inside a frame"):
             self._read_all(raw[:5])
+        with pytest.raises(WireFormatError, match="inside a frame"):
+            self._read_all(raw[:-1])
 
     def test_two_frames_back_to_back(self):
         first = Frame(mtype=MessageType.PING, request_id=1)

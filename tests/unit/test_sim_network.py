@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.qos.admission import AdmissionConfig, AdmissionController
 from repro.sim.events import Simulation
 from repro.sim.network import FlowNetwork, Link
 
@@ -131,3 +132,57 @@ def test_flow_arrival_midway_reshapes_rates(net):
     assert done["first"].finish_time == pytest.approx(1.5)
     # Second: 50 B/s until 1.5 (50 bytes), then 100 B/s -> 2.0.
     assert done["second"].finish_time == pytest.approx(2.0)
+
+
+def test_link_flows_stay_a_subset_of_active(net):
+    """``_reallocate`` counts a link's unfrozen flows as ``len(link.flows)``,
+    which is only right while every flow on a link is an active one.
+    Drive every way a flow enters or leaves the fabric and check it after
+    each call and each simulation event."""
+    sim, network = net
+    network.admission = AdmissionController(
+        AdmissionConfig(repair_rate=100.0, repair_burst=100.0, repair_floor=1.0)
+    )
+    links = [Link(f"l{i}", 100.0 * (i + 1)) for i in range(4)]
+
+    def check():
+        for link in links:
+            assert link.flows <= network.active
+            assert all(link in flow.path for flow in link.flows)
+        for flow in network.active:
+            assert all(flow in link.flows for link in flow.path)
+        assert not network._pending & network.active
+
+    def chained(flow):  # a completion that starts the next hop's flow
+        network.start_flow(links[2:], 50.0, src="b", dst="c")
+        check()
+
+    started = [
+        network.start_flow(links[:2], 300.0, chained, src="a", dst="b"),
+        network.start_flow(links[1:3], 200.0, src="b", dst="c"),
+        network.start_flow([links[3]], 0.0, src="c", dst="d"),
+        # The bucket holds 100 bytes: the first repair flow is admitted,
+        # the next two queue outside the fabric.
+        network.start_flow([links[0]], 100.0, traffic_class="repair",
+                           src="a", dst="d"),
+        network.start_flow(links[:3], 400.0, traffic_class="repair",
+                           src="a", dst="c"),
+        network.start_flow([links[3]], 150.0, traffic_class="repair",
+                           src="d", dst="a"),
+    ]
+    check()
+    assert len(network._pending) == 2
+    network.cancel_flow(started[1])  # active
+    check()
+    network.cancel_flow(started[5])  # still queued at admission
+    check()
+    network.cancel_flow(started[1])  # already gone: a no-op
+    check()
+    sim.schedule(0.5, network.cancel_flows_touching, "c")  # crash mid-run
+    sim.schedule(1.0, network.start_flow, links, 500.0)
+    events = 0
+    while sim.step():
+        events += 1
+        check()
+    assert events > 5 and not network.active and not network._pending
+    assert all(not link.flows for link in links)
