@@ -1,6 +1,6 @@
 """Extension: sliced repair pipelining over the live TCP data path.
 
-The wire-v2 streamed repair (`STREAM_BEGIN`/`DATA`/`END` frames,
+The streamed repair (`STREAM_BEGIN`/`DATA`/`END` frames, one-way DATA,
 per-slice GF aggregation) replayed on real sockets with the repair rate
 token-bucket paced to 1 MiB/s, so transfer time dominates localhost
 overhead and the C/B convergence of repair pipelining is visible in

@@ -84,7 +84,7 @@ def ext_pipelining(
 
 
 # ----------------------------------------------------------------------
-# Extension 1b: repair pipelining over real TCP (wire protocol v2)
+# Extension 1b: repair pipelining over real TCP (wire protocol v3)
 # ----------------------------------------------------------------------
 def ext_live_pipelining(
     spec: str = "rs(4,2)",
@@ -95,7 +95,7 @@ def ext_live_pipelining(
     """The `ext_pipelining` sweep, replayed over real sockets.
 
     Same question — does slicing converge repair time toward C/B? — but
-    answered by the `repro.live` streamed data path (wire v2 STREAM_*
+    answered by the `repro.live` streamed data path (wire v3 STREAM_*
     frames) instead of the flow simulator.  The repair send rate is
     token-bucket paced to ``rate_limit`` bytes/s so the payload transfer
     dominates localhost per-frame overhead; with C = ``payload_bytes``

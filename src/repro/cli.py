@@ -1185,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="live stripe id to repair")
     rep.add_argument("--slices", type=int, default=1,
                      help="--live ppr/chain: pipeline each hop as S "
-                          "sliced wire-v2 streams (1 = whole-chunk sends)")
+                          "sliced wire-v3 streams (1 = whole-chunk sends)")
     rep.set_defaults(fn=cmd_repair)
 
     srv = sub.add_parser(

@@ -13,16 +13,19 @@ execution paths over sockets:
 * **Raw collection** (:data:`~repro.live.wire.MessageType.START_RAW_REPAIR`):
   the star/staggered destination role — pull raw rows from every helper
   over TCP (concurrently or one at a time) and decode centrally.
-* **Streamed PPR** (wire v2, ``STREAM_BEGIN``/``DATA``/``END``): when the
-  plan carries ``num_slices > 1``, each hop moves as S pipelined slices.
-  Incoming segments are GF-aggregated *in place* as frames arrive — no
-  child's whole chunk is ever buffered — and a helper forwards slice
-  ``i`` upstream the moment its subtree has delivered slice ``i``, which
-  is what drives repair time toward C/B (Li et al., repair pipelining).
+* **Streamed PPR** (``STREAM_BEGIN``/``DATA``/``END``): when the plan
+  carries ``num_slices > 1``, each hop moves as S pipelined slices.
+  BEGIN is acked once the plan is known, so each one-way DATA frame is
+  XOR-merged into its task's rows *in place* as it arrives — no queue,
+  no task per frame, no child's whole chunk ever buffered — and the END
+  ack fails unless every slice arrived.  A helper forwards slice ``i``
+  upstream the moment its subtree has delivered slice ``i``, which is
+  what drives repair time toward C/B (Li et al., repair pipelining).
 
 Partial results are deduplicated by sender so RPC retries are idempotent,
 and results that arrive before their plan command are buffered briefly
-(frames from different peers race on real sockets).
+(frames from different peers race on real sockets); a stream's BEGIN
+waits for the plan instead.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from repro.fs.messages import (
     extract_rows,
     recipe_from_wire,
 )
-from repro.codes.recipe import RepairRecipe
 from repro.live import trace
 from repro.live.config import LiveConfig
 from repro.live.rpc import (
@@ -110,7 +112,8 @@ class _PartialTask:
     #: the local chunk or the first STREAM_BEGIN.
     row_len: int = 0
     #: Streaming: per-slice set of child senders whose segment has been
-    #: GF-merged (the dedup that makes DATA retries idempotent).
+    #: GF-merged: what dedups a repeated segment and what the END ack
+    #: checks for completeness.
     slice_got: "Dict[int, Set[str]]" = field(default_factory=dict)
     #: Streaming: per-slice readiness events — slice ``i`` is ready once
     #: the local partial is in and every child's segment ``i`` is merged.
@@ -126,13 +129,28 @@ class _PartialTask:
             1 if self.request.chunk_id is not None else 0
         )
 
-    def _check_ready(self) -> None:
+    @property
+    def inputs_complete(self) -> bool:
         done = len(self.received) + (1 if self.local_done else 0)
-        if done >= self.expected_inputs:
+        return done >= self.expected_inputs
+
+    def _check_ready(self) -> None:
+        if self.inputs_complete:
             self.inputs_ready.set()
 
+    def _absorb(self, rows: "Dict[int, np.ndarray]") -> None:
+        """XOR a whole contribution into the aggregate in place.  Callers
+        hand over rows they own (``compute_partial`` output, a received
+        frame's buffers), so a row's first contribution is adopted."""
+        for row, buf in rows.items():
+            mine = self.partial.get(row)
+            if mine is None:
+                self.partial[row] = buf
+            else:
+                np.bitwise_xor(mine, buf, out=mine)
+
     def add_local(self, partial: "Dict[int, np.ndarray]") -> None:
-        self.partial = RepairRecipe.merge_partials(self.partial, partial)
+        self._absorb(partial)
         self.local_done = True
         self._check_ready()
         for index in range(self.num_slices):
@@ -145,11 +163,12 @@ class _PartialTask:
         sub_trace: "List[trace.TraceRecord]",
         sub_traffic: "List[trace.TrafficRecord]",
     ) -> bool:
-        """Merge a child's partial; False when it is a duplicate."""
+        """Merge a child's partial (``{}`` at a stream's END: its segments
+        are merged already); False when it is a duplicate."""
         if sender in self.received or sender not in self.request.children:
             return False
         self.received.add(sender)
-        self.partial = RepairRecipe.merge_partials(self.partial, buffers)
+        self._absorb(buffers)
         self.trace.extend(sub_trace)
         self.traffic.extend(sub_traffic)
         self._check_ready()
@@ -176,11 +195,15 @@ class _PartialTask:
             self._refresh_slice(index)
         return event
 
+    def slice_ready(self, index: int) -> bool:
+        """Whether the local partial and every child's segment are in."""
+        if self.request.chunk_id is not None and not self.local_done:
+            return False
+        return self.slice_got.get(index, set()) >= set(self.request.children)
+
     def _refresh_slice(self, index: int) -> None:
         """Set slice ``index``'s event once every contributor is in."""
-        if self.request.chunk_id is not None and not self.local_done:
-            return
-        if self.slice_got.get(index, set()) >= set(self.request.children):
+        if self.slice_ready(index):
             self.slice_event(index).set()
 
     def merge_segment(
@@ -207,7 +230,7 @@ class _PartialTask:
             )
         got = self.slice_got.setdefault(slice_index, set())
         if sender in got:
-            return False  # duplicate DATA (RPC retry): already merged
+            return False  # duplicate segment: already merged
         for row, segment in buffers.items():
             if offset + segment.size > self.row_len:
                 raise StreamError(
@@ -222,21 +245,6 @@ class _PartialTask:
             np.bitwise_xor(view, segment, out=view)
         got.add(sender)
         self._refresh_slice(slice_index)
-        return True
-
-    def add_remote_stream(
-        self,
-        sender: str,
-        sub_trace: "List[trace.TraceRecord]",
-        sub_traffic: "List[trace.TrafficRecord]",
-    ) -> bool:
-        """Bookkeeping for a child's STREAM_END (buffers already merged)."""
-        if sender in self.received or sender not in self.request.children:
-            return False
-        self.received.add(sender)
-        self.trace.extend(sub_trace)
-        self.traffic.extend(sub_traffic)
-        self._check_ready()
         return True
 
     def abort(self) -> None:
@@ -279,10 +287,10 @@ class LiveChunkServer:
         self.pool = RpcClientPool(self.config)
         self.tasks: "Dict[str, _PartialTask]" = {}
         self._orphans: "Dict[str, List[_OrphanPartial]]" = {}
-        #: Inbound wire streams (v2 sliced transfers), bounded per stream.
+        #: Inbound wire streams (sliced transfers) by stream id.
         self.inbox = StreamInbox(self.config)
         #: repair id -> event set when that repair's plan command lands;
-        #: stream consumers that raced ahead of the plan wait on it.
+        #: STREAM_BEGINs that raced ahead of the plan wait on it.
         self._plan_events: "Dict[str, asyncio.Event]" = {}
         #: Allocator for causal record ids ("<server>#<n>"); only consulted
         #: while a traced repair is in flight.
@@ -696,10 +704,7 @@ class LiveChunkServer:
             f"stalled stream {stream_id} from {stream.sender}: no progress "
             f"for {self.config.stream_stall_deadline:.2f}s"
         )
-        self.inbox.discard(stream_id)
-        stream.abort(reason)
-        if task is not None:
-            task.abort()
+        self._abort_stream(stream, reason)
         self.telemetry.record(
             "live.doctor.stalls", now, 1.0, node=self.server_id
         )
@@ -967,22 +972,31 @@ class LiveChunkServer:
             task.state_deps.append(mul_gid)
         task.add_local(partial)
 
-    async def _wait_for_inputs(self, task: _PartialTask) -> None:
-        try:
-            await asyncio.wait_for(
-                task.inputs_ready.wait(),
-                timeout=self.config.partial_wait_timeout,
+    async def _wait_task(self, task: _PartialTask, event: asyncio.Event) -> None:
+        """Wait on one of ``task``'s events under one timer handle (not a
+        ``wait_for`` task) that sets it on expiry, so callers re-check what
+        it stands for.  Raises if the repair was aborted meanwhile."""
+        if not event.is_set():
+            deadline = asyncio.get_running_loop().call_later(
+                self.config.partial_wait_timeout, event.set
             )
-        except asyncio.TimeoutError:
+            try:
+                await event.wait()
+            finally:
+                deadline.cancel()
+        if task.aborted:
+            raise RepairAbortedError(
+                f"repair {task.request.repair_id} aborted at {self.server_id}"
+            )
+
+    async def _wait_for_inputs(self, task: _PartialTask) -> None:
+        await self._wait_task(task, task.inputs_ready)
+        if not task.inputs_complete:
             missing = set(task.request.children) - task.received
             raise LiveRepairError(
                 f"{self.server_id} still missing partial results from "
                 f"{sorted(missing)} for {task.request.repair_id} after "
                 f"{self.config.partial_wait_timeout}s"
-            ) from None
-        if task.aborted:
-            raise RepairAbortedError(
-                f"repair {task.request.repair_id} aborted at {self.server_id}"
             )
 
     async def _run_helper(self, task: _PartialTask) -> None:
@@ -1030,16 +1044,12 @@ class LiveChunkServer:
             return
 
     # ------------------------------------------------------------------
-    # Streamed PPR: pipelined per-slice forwarding (wire v2)
+    # Streamed PPR: pipelined per-slice forwarding
     # ------------------------------------------------------------------
     async def _wait_slice(self, task: _PartialTask, index: int) -> None:
         """Wait until slice ``index`` is fully aggregated at this node."""
-        try:
-            await asyncio.wait_for(
-                task.slice_event(index).wait(),
-                timeout=self.config.partial_wait_timeout,
-            )
-        except asyncio.TimeoutError:
+        await self._wait_task(task, task.slice_event(index))
+        if not task.slice_ready(index):
             missing = set(task.request.children) - task.slice_got.get(
                 index, set()
             )
@@ -1047,10 +1057,6 @@ class LiveChunkServer:
                 f"{self.server_id} still missing slice {index} from "
                 f"{sorted(missing)} for {task.request.repair_id} after "
                 f"{self.config.partial_wait_timeout}s"
-            ) from None
-        if task.aborted:
-            raise RepairAbortedError(
-                f"repair {task.request.repair_id} aborted at {self.server_id}"
             )
 
     async def _run_helper_streaming(self, task: _PartialTask) -> None:
@@ -1126,82 +1132,82 @@ class LiveChunkServer:
             self.tasks.pop(request.repair_id, None)
 
     # ------------------------------------------------------------------
-    # Streamed PPR: inbound stream handlers + per-stream consumer
+    # Streamed PPR: inbound stream handlers
     # ------------------------------------------------------------------
     async def _on_stream_begin(self, frame: Frame) -> "Dict[str, object]":
+        """Open an inbound stream once its plan is known and its geometry
+        checked, so every DATA frame that follows finds its task."""
         payload = frame.payload
-        stream_id = str(payload["stream_id"])
-        stream = self.inbox.open(stream_id, payload)
+        task = await self._wait_for_plan(str(payload.get("repair_id", "")))
+        num_slices = int(payload.get("num_slices", 1))  # type: ignore[arg-type]
+        if num_slices != task.num_slices:
+            raise StreamError(
+                f"stream {payload['stream_id']} carries {num_slices} "
+                f"slices but the plan says {task.num_slices}"
+            )
+        task.set_row_len(int(payload.get("row_len", 0)))  # type: ignore[arg-type]
+        stream = self.inbox.open(str(payload["stream_id"]), payload)
         if stream.opened_at is None:
             stream.opened_at = trace.now()
-            self._spawn(self._consume_stream(stream))
-        return {"accepted": stream_id}
+        return {"accepted": stream.stream_id}
 
-    async def _on_stream_data(self, frame: Frame) -> "Dict[str, object]":
-        stream = self.inbox.get(str(frame.payload["stream_id"]))
-        # The ack leaves only after the bounded queue admits the frame —
-        # this await is the receiver half of the backpressure loop.
-        await stream.deliver(frame, timeout=self.config.partial_wait_timeout)
+    async def _on_stream_data(self, frame: Frame) -> None:
+        """One-way: merge one segment on arrival; never suspends."""
+        try:
+            stream = self.inbox.get(str(frame.payload["stream_id"]))
+        except StreamError:  # ENDed, aborted, torn down: nobody to tell
+            obs.registry().counter("live.stream.dropped_frames").inc()
+            return
         stream.last_progress = trace.now()
-        return {"queued": True}
+        task = self.tasks.get(stream.repair_id)
+        if task is None or stream.error is not None:
+            return  # the END ack reports it
+        try:
+            self._merge_stream_frame(task, stream, frame)
+        except Exception as exc:  # noqa: BLE001 - surfaced via the END ack
+            stream.error = exc
 
     async def _on_stream_end(self, frame: Frame) -> "Dict[str, object]":
-        stream = self.inbox.get(str(frame.payload["stream_id"]))
-        if stream.end_payload is None:
-            stream.end_payload = dict(frame.payload)
-            stream.finish()
-        # The sender drained every DATA ack before END, so the queue
-        # already holds all segments; wait for the consumer to finish
-        # merging them — this ack means "your subtree's work is in".
-        await asyncio.wait_for(
-            stream.consumed.wait(), timeout=self.config.partial_wait_timeout
-        )
+        """Close an inbound stream: every DATA frame sent before END was
+        merged on arrival, so the ack fails unless all slices are in —
+        and then aborts the task, cascading the failure at once."""
+        stream_id = str(frame.payload["stream_id"])
+        stream = self.inbox.get(stream_id)
+        self.inbox.discard(stream_id)
+        task = self.tasks.get(stream.repair_id)
+        if task is None:
+            raise StreamError(f"repair {stream.repair_id} is not running here")
+        missing = [
+            i for i in range(task.num_slices)
+            if stream.sender not in task.slice_got.get(i, ())
+        ]
+        if stream.error is None and missing:
+            stream.error = StreamError(
+                f"stream {stream_id} ended with {len(missing)} of "
+                f"{task.num_slices} slices missing"
+            )
         if stream.error is not None:
+            task.abort()
             raise stream.error
+        self._finish_stream(task, stream, frame.payload)
         return {"merged": True, "nbytes": stream.bytes_received}
 
     async def _on_stream_abort(self, frame: Frame) -> "Dict[str, object]":
-        stream_id = str(frame.payload["stream_id"])
-        reason = str(frame.payload.get("reason", "peer abort"))
         try:
-            stream = self.inbox.get(stream_id)
+            stream = self.inbox.get(str(frame.payload["stream_id"]))
         except StreamError:
             return {"aborted": False}
-        self.inbox.discard(stream_id)
-        stream.abort(reason)
+        self._abort_stream(stream, str(frame.payload.get("reason", "peer abort")))
         return {"aborted": True}
 
-    async def _consume_stream(self, stream: InboundStream) -> None:
-        """Drain one inbound stream, merging each segment as it arrives."""
-        try:
-            task = await self._wait_for_plan(stream.repair_id)
-            num_slices = int(stream.begin.get("num_slices", 1))  # type: ignore[arg-type]
-            if num_slices != task.num_slices:
-                raise StreamError(
-                    f"stream {stream.stream_id} carries {num_slices} "
-                    f"slices but the plan says {task.num_slices}"
-                )
-            task.set_row_len(int(stream.begin.get("row_len", 0)))  # type: ignore[arg-type]
-            while True:
-                frame = await stream.next_frame()
-                if frame is None:
-                    break
-                self._merge_stream_frame(task, stream, frame)
-            self._finish_stream(task, stream)
-        except RepairAbortedError as exc:
-            # The stream was torn down (watchdog or peer ABORT): abort
-            # the whole repair task here too, so this node's own wait
-            # loops fail immediately and the abort cascades upstream
-            # instead of waiting out the passive slice timeouts.
-            stream.error = exc
-            task = self.tasks.get(stream.repair_id)
-            if task is not None:
-                task.abort()
-        except Exception as exc:  # noqa: BLE001 - surfaced via the END ack
-            stream.error = exc
-        finally:
-            stream.consumed.set()
-            self.inbox.discard(stream.stream_id)
+    def _abort_stream(self, stream: InboundStream, reason: str) -> None:
+        """Tear an inbound stream down with its repair task, so this
+        node's waits fail now and the abort cascades upstream."""
+        self.inbox.discard(stream.stream_id)
+        stream.abort(reason)
+        task = self.tasks.get(stream.repair_id)
+        if task is not None:
+            task.abort()
 
     async def _wait_for_plan(self, repair_id: str) -> _PartialTask:
         """The repair task for ``repair_id``, waiting out plan races."""
@@ -1236,7 +1242,7 @@ class LiveChunkServer:
             stream.sender, slice_index, offset, frame.buffers
         )
         if not merged:
-            return  # duplicate segment (RPC retry)
+            return  # duplicate segment
         stream.bytes_received += nbytes
         obs.registry().counter("live.stream.segments").inc()
         # Timeline detail only: slice records are not a PHASES member, so
@@ -1255,10 +1261,12 @@ class LiveChunkServer:
         )
 
     def _finish_stream(
-        self, task: _PartialTask, stream: InboundStream
+        self,
+        task: _PartialTask,
+        stream: InboundStream,
+        trailer: "Dict[str, object]",
     ) -> None:
         """Process a stream's END trailer: the hop's one network record."""
-        trailer = stream.end_payload or {}
         sub_trace = list(trailer.get("trace", []))  # type: ignore[arg-type]
         sub_traffic = list(trailer.get("traffic", []))  # type: ignore[arg-type]
         begin_sent_at = float(
@@ -1300,7 +1308,7 @@ class LiveChunkServer:
         if net_gid is not None:
             task.last_net_gid = net_gid
             task.state_deps.append(net_gid)
-        task.add_remote_stream(stream.sender, sub_trace, sub_traffic)
+        task.add_remote(stream.sender, {}, sub_trace, sub_traffic)
 
     # ------------------------------------------------------------------
     # PPR: partial results from children
@@ -1434,10 +1442,14 @@ class LiveChunkServer:
                 f"destination {self.server_id} holds no partial rows for "
                 f"{request.repair_id}"
             )
-        chunk_payload = np.zeros(request.rows * row_len, dtype=np.uint8)
-        view = chunk_payload.reshape(request.rows, row_len)
-        for row, buf in task.partial.items():
-            view[row] = buf
+        if request.rows == 1 and 0 in task.partial:
+            # The one aggregated row is the chunk; the task owns it.
+            chunk_payload = task.partial[0]
+        else:
+            chunk_payload = np.zeros(request.rows * row_len, dtype=np.uint8)
+            view = chunk_payload.reshape(request.rows, row_len)
+            for row, buf in task.partial.items():
+                view[row] = buf
         asm_gid, asm_kw = self._causal_kw(task.ctx, task.state_deps)
         task.trace.append(
             self._account(

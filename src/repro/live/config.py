@@ -62,15 +62,6 @@ class LiveConfig:
     repair_rate_limit: float = 0.0
     #: QoS: burst allowance of the repair pacer, bytes.
     repair_burst_bytes: float = 4 * 1024 * 1024
-    #: Streaming: max STREAM_DATA frames one sender keeps in flight per
-    #: stream before awaiting acks (the send window).  Together with the
-    #: receiver's bounded queue this is the end-to-end backpressure: a
-    #: slow aggregator stops acking, the window fills, the sender stalls.
-    stream_window: int = 8
-    #: Streaming: receiver-side bound on frames queued per inbound stream
-    #: awaiting GF aggregation.  A full queue delays the frame's ack,
-    #: which is what propagates backpressure into the sender's window.
-    stream_queue_depth: int = 32
     #: Doctor: an open inbound stream with no STREAM_DATA progress for
     #: this many wall seconds is declared stalled — the watchdog files an
     #: incident, aborts the stream and its repair task, and the abort
@@ -129,10 +120,6 @@ class LiveConfig:
             raise ConfigurationError("repair_rate_limit must be >= 0")
         if self.repair_burst_bytes <= 0:
             raise ConfigurationError("repair_burst_bytes must be > 0")
-        if self.stream_window < 1:
-            raise ConfigurationError("stream_window must be >= 1")
-        if self.stream_queue_depth < 1:
-            raise ConfigurationError("stream_queue_depth must be >= 1")
         if self.stream_stall_deadline < 0:
             raise ConfigurationError("stream_stall_deadline must be >= 0")
         if self.flight_capacity < 0:

@@ -214,7 +214,7 @@ class LiveCoordinator:
         ``on_attempt`` (sync or async) observes each attempt before its
         plan commands go out — the failure tests use it to kill servers
         at deterministic points.  ``num_slices > 1`` runs ppr/chain
-        repairs as pipelined sliced streams (wire v2, docs/PIPELINING.md);
+        repairs as pipelined sliced streams (wire v3, docs/PIPELINING.md);
         star/staggered move whole rows regardless and ignore it.
         """
         if num_slices < 1:

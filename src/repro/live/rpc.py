@@ -5,9 +5,11 @@ the frame's request id, enforces a per-RPC timeout, and retries
 connection-level failures with bounded exponential backoff (safe because
 every live handler is idempotent — duplicate partials are deduplicated by
 sender, chunk puts overwrite identically).  :class:`RpcServer` dispatches
-each incoming frame on its own task, so a long-running handler (the
+each incoming request on its own task, so a long-running handler (the
 repair destination waiting for its subtree) never blocks pings or
-partial results arriving on the same connection.
+partial results arriving on the same connection.  A one-way frame
+(request id 0, :meth:`RpcClient.send`) is handled inline instead, in
+arrival order, and never answered.
 
 Both ends sit on one :class:`Connection`, an ``asyncio.BufferedProtocol``:
 no reader task, no stream buffer.  The event loop ``recv_into``s the view
@@ -19,13 +21,12 @@ back to back with no ``await`` (hence no write lock); ``drain()`` returns
 at once unless the transport is over its high-water mark, then waits for
 ``resume_writing`` — the peer reading again — or the connection's death.
 
-Streaming (wire protocol v2) rides on the same request/response calls:
-:class:`StreamSender` drives one outbound BEGIN / DATA* / END sequence
-with a bounded send window, and :class:`StreamInbox` holds each inbound
-stream's frames in a bounded queue until the owner (the chunk server's
-per-stream aggregation task) consumes them.  Backpressure is end to end:
-a full inbound queue delays the DATA ack, an unacked DATA frame occupies
-a window slot, and a full window stalls the sender.
+Streaming (wire protocol v3): :class:`StreamSender` drives one outbound
+BEGIN / DATA* / END sequence — BEGIN and END are calls, every DATA a
+one-way send on the connection BEGIN was acknowledged on, so all DATA is
+handled before END's handler runs.  Backpressure is TCP's: a receiver
+that stops reading leaves the sender waiting in ``drain()``.
+:class:`StreamInbox` holds each inbound stream's state.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ from repro.live.wire import (
 #: A handler takes the request frame and returns ``(payload, buffers)``,
 #: just a payload dict, or ``None`` (empty ack).  Raising a ReproError
 #: produces a typed error frame; anything else becomes ``InternalError``.
+#: For a one-way frame the result is dropped and the handler must not
+#: suspend (:meth:`RpcServer._run_one_way`).
 Handler = Callable[[Frame], Awaitable[object]]
 
 
@@ -366,6 +369,28 @@ class RpcClient:
             message = f"{mtype.name} to {self.address} timed out after {timeout}s"
             future.set_exception(RpcTimeoutError(message))
 
+    async def send(
+        self,
+        mtype: MessageType,
+        payload: "Optional[Dict[str, object]]" = None,
+        buffers: "Optional[Dict[int, np.ndarray]]" = None,
+    ) -> None:
+        """One one-way frame (request id 0): no future, no deadline, no
+        retry.  Returns once the transport took it, after waiting in
+        ``drain()`` while the peer is not reading; says nothing of
+        delivery.  Raises :class:`RpcConnectionError` on failure."""
+        connection = await self._ensure_connected()
+        frame = Frame(
+            mtype, 0, payload or {}, buffers or {}, trace=causal.current_wire()
+        )
+        try:
+            write_frame(connection, frame)
+            await connection.drain()
+        except (ConnectionError, OSError) as exc:
+            error = RpcConnectionError(f"send to {self.address} failed: {exc}")
+            self._drop_connection(connection, error)
+            raise error from exc
+
     async def close(self) -> None:
         """Tear the connection down; in-flight calls fail cleanly."""
         self._closed = True
@@ -399,7 +424,7 @@ class RpcClientPool:
 
 
 class RpcServer:
-    """A framed-TCP service: per-type handlers, per-frame dispatch tasks."""
+    """A framed-TCP service: per-type handlers, per-request dispatch tasks."""
 
     def __init__(self, name: str, config: "Optional[LiveConfig]" = None):
         self.name = name
@@ -465,9 +490,28 @@ class RpcServer:
         return connection
 
     def _on_frame(self, connection: Connection, frame: Frame) -> None:
+        if frame.request_id == 0:
+            self._run_one_way(frame)
+            return
         task = asyncio.create_task(self._dispatch(frame, connection))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+
+    def _run_one_way(self, frame: Frame) -> None:
+        """Step a one-way frame's handler once, here: no task, no
+        response, frames handled in arrival order.  A handler that
+        suspends, raises or is missing is a bug no response can report,
+        so its exception leaves the connection callback, where asyncio
+        logs it and drops the connection."""
+        handler = self._handlers[frame.mtype]
+        with causal.bound(causal.SpanContext.from_wire(frame.trace)):
+            coro = handler(frame)
+            try:
+                coro.send(None)  # type: ignore[attr-defined]
+            except StopIteration:
+                return
+        coro.close()  # type: ignore[attr-defined]
+        raise RuntimeError(f"one-way {frame.mtype.name} handler suspended")
 
     def _on_lost(self, connection: Connection, exc: "Optional[Exception]") -> None:
         self._connections.discard(connection)
@@ -530,17 +574,17 @@ class RpcServer:
 
 
 # ----------------------------------------------------------------------
-# Streaming (wire v2): windowed sender, bounded per-stream inbox
+# Streaming (wire v3): one-way DATA on a pinned connection, inbound state
 # ----------------------------------------------------------------------
 class StreamSender:
     """Sender half of one wire stream over an :class:`RpcClient`.
 
     Lifecycle is strict — ``begin()``, any number of ``data()`` calls,
-    then ``end()`` — and ``end()`` first drains every in-flight DATA ack,
-    so by protocol the receiver has fully aggregated each segment before
-    END goes out (docs/PROTOCOL.md, stream state machine).  ``data()``
-    blocks when ``config.stream_window`` sends are unacknowledged; a
-    failed send poisons the stream and surfaces on the next call.
+    then ``end()`` (docs/PROTOCOL.md, stream state machine).  DATA and END
+    must use the connection BEGIN was acknowledged on: once the client's
+    connection is another one, a segment may have died with the old one,
+    so the stream is poisoned — that error, like a failed send, raises on
+    this and every later call.
     """
 
     def __init__(
@@ -553,8 +597,7 @@ class StreamSender:
         self.stream_id = stream_id
         self.config = config or client.config
         self.bytes_sent = 0
-        self._window = asyncio.Semaphore(self.config.stream_window)
-        self._inflight: "Set[asyncio.Task[None]]" = set()
+        self._connection: "Optional[Connection]" = None  # pinned at BEGIN
         self._error: "Optional[Exception]" = None
         self._begun = False
         self._closed = False
@@ -565,6 +608,17 @@ class StreamSender:
         if self._closed:
             raise StreamError(f"stream {self.stream_id} already closed")
 
+    def _check_pinned(self) -> None:
+        if not self._begun:
+            raise StreamError(f"stream {self.stream_id} has no BEGIN")
+        pinned = self._connection
+        if pinned is None or pinned.is_closing() or self.client._connection is not pinned:
+            self._error = StreamError(
+                f"stream {self.stream_id}: connection to {self.client.address} "
+                f"lost since BEGIN"
+            )
+            raise self._error
+
     async def begin(self, payload: "Dict[str, object]") -> Frame:
         """Open the stream; the ack means the receiver allocated for it."""
         self._check_open()
@@ -572,7 +626,7 @@ class StreamSender:
             raise StreamError(f"stream {self.stream_id} already begun")
         self._begun = True
         try:
-            return await self.client.call(
+            response = await self.client.call(
                 MessageType.STREAM_BEGIN,
                 {**payload, "stream_id": self.stream_id},
                 timeout=self.config.rpc_timeout,
@@ -580,62 +634,32 @@ class StreamSender:
         except RpcError as exc:
             self._error = exc
             raise
+        self._connection = self.client._connection
+        return response
 
     async def data(
         self,
         payload: "Dict[str, object]",
         buffers: "Dict[int, np.ndarray]",
     ) -> None:
-        """Send one segment, waiting for a window slot first.
-
-        Returns once the frame is in flight (not acknowledged); failures
-        of any outstanding send raise here or at :meth:`end`.
-        """
+        """Send one segment as a one-way frame on the pinned connection."""
         self._check_open()
-        if not self._begun:
-            raise StreamError(f"stream {self.stream_id} has no BEGIN")
-        await self._window.acquire()
-        if self._error is not None:  # poisoned while we waited
-            self._window.release()
-            raise self._error
-        task = asyncio.create_task(
-            self._send_data({**payload, "stream_id": self.stream_id}, buffers)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    async def _send_data(
-        self,
-        payload: "Dict[str, object]",
-        buffers: "Dict[int, np.ndarray]",
-    ) -> None:
+        self._check_pinned()
         try:
-            await self.client.call(
+            await self.client.send(
                 MessageType.STREAM_DATA,
-                payload,
-                buffers=buffers,
-                timeout=self.config.rpc_timeout,
+                {**payload, "stream_id": self.stream_id},
+                buffers,
             )
-            self.bytes_sent += sum(int(b.nbytes) for b in buffers.values())
-        except Exception as exc:  # noqa: BLE001 - poison, re-raised at end()
-            if self._error is None:
-                self._error = exc
-        finally:
-            self._window.release()
-
-    async def drain(self) -> None:
-        """Wait until every sent DATA frame is acknowledged."""
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        if self._error is not None:
-            raise self._error
+        except RpcError as exc:
+            self._error = exc
+            raise
+        self.bytes_sent += sum(int(b.nbytes) for b in buffers.values())
 
     async def end(self, payload: "Dict[str, object]") -> Frame:
-        """Drain outstanding DATA acks, then close the stream with END."""
+        """Close the stream with END; its ack means every segment is in."""
         self._check_open()
-        if not self._begun:
-            raise StreamError(f"stream {self.stream_id} has no BEGIN")
-        await self.drain()
+        self._check_pinned()
         self._closed = True
         return await self.client.call(
             MessageType.STREAM_END,
@@ -648,8 +672,6 @@ class StreamSender:
         if self._closed:
             return
         self._closed = True
-        for task in list(self._inflight):
-            task.cancel()
         try:
             await self.client.call(
                 MessageType.STREAM_ABORT,
@@ -666,62 +688,41 @@ _STREAM_DONE = object()
 
 
 class InboundStream:
-    """Receiver state for one stream: metadata plus a bounded frame queue.
+    """Receiver state for one stream: metadata plus a frame queue.
 
-    The transport (RPC handlers) pushes DATA frames with :meth:`deliver`;
-    the owning aggregation task pulls them with :meth:`next_frame` until
-    it returns ``None`` (END observed) — or raises
-    :class:`~repro.errors.RepairAbortedError` after :meth:`abort`.
+    The chunk server merges each DATA frame in its one-way handler and
+    uses only the metadata.  A receiver that wants the frames in a task
+    instead has the handler :meth:`deliver` them and pulls them with
+    :meth:`next_frame` until it returns ``None`` (after :meth:`finish`) —
+    or raises :class:`~repro.errors.RepairAbortedError` after :meth:`abort`.
     """
 
-    def __init__(
-        self,
-        stream_id: str,
-        begin_payload: "Dict[str, object]",
-        maxsize: int,
-    ):
+    def __init__(self, stream_id: str, begin_payload: "Dict[str, object]"):
         self.stream_id = stream_id
         self.begin = dict(begin_payload)
         self.repair_id = str(begin_payload.get("repair_id", ""))
         self.sender = str(begin_payload.get("sender", ""))
         self.opened_at: "Optional[float]" = None
-        #: Wall timestamp of the last delivered DATA frame (or None until
-        #: the first one) — the stalled-stream watchdog's progress signal.
+        #: Wall timestamp of the last DATA frame (or None until the first
+        #: one) — the stalled-stream watchdog's progress signal.
         self.last_progress: "Optional[float]" = None
         self.bytes_received = 0
         self.aborted: "Optional[str]" = None
-        #: END frame payload, stashed by the END handler before finish().
-        self.end_payload: "Optional[Dict[str, object]]" = None
-        #: Set once the consumer has drained the stream (or died trying);
-        #: the END handler awaits it so its ack means "fully aggregated".
+        #: For a queue consumer to set once it has drained the stream.
         self.consumed: asyncio.Event = asyncio.Event()
-        #: The consumer's failure, surfaced to the END handler.
+        #: The first receive-side failure; the END ack raises it.
         self.error: "Optional[Exception]" = None
-        # The bound applies to DATA frames only (a semaphore over an
-        # unbounded queue), so the END/ABORT sentinel can always land
-        # even when the consumer is maximally behind.
         self._queue: "asyncio.Queue[object]" = asyncio.Queue()
-        self._slots = asyncio.Semaphore(maxsize)
         self._finished = False
 
     async def deliver(self, frame: Frame, timeout: float) -> None:
-        """Queue one DATA frame; blocks (bounded) until there is room.
-
-        The block is the backpressure: the ack only goes out once the
-        frame is queued.  A consumer that stalls past ``timeout`` fails
-        the delivery instead of wedging the RPC dispatch task forever.
-        """
+        """Queue one DATA frame.  Never suspends, so a one-way handler may
+        await it; ``timeout`` is unused (TCP, not this queue, holds a fast
+        sender back)."""
         if self.aborted is not None or self._finished:
             raise StreamError(
                 f"stream {self.stream_id} is closed to new frames"
             )
-        try:
-            await asyncio.wait_for(self._slots.acquire(), timeout=timeout)
-        except asyncio.TimeoutError:
-            raise StreamError(
-                f"stream {self.stream_id} receiver stalled: inbound queue "
-                f"full for {timeout}s"
-            ) from None
         self._queue.put_nowait(frame)
 
     def finish(self) -> None:
@@ -745,7 +746,6 @@ class InboundStream:
                 )
             return None
         assert isinstance(item, Frame)
-        self._slots.release()
         return item
 
 
@@ -763,9 +763,7 @@ class StreamInbox:
         (RPC retries must be idempotent)."""
         stream = self._streams.get(stream_id)
         if stream is None:
-            stream = InboundStream(
-                stream_id, begin_payload, self.config.stream_queue_depth
-            )
+            stream = InboundStream(stream_id, begin_payload)
             self._streams[stream_id] = stream
         return stream
 

@@ -1,13 +1,14 @@
-"""Length-prefixed framed wire format of the live deployment (v2).
+"""Length-prefixed framed wire format of the live deployment (v3).
 
 One frame is::
 
     offset  size  field
     0       2     magic ``b"PP"``
-    2       1     protocol version (2; v1 peers are still understood)
+    2       1     protocol version (3; nothing older is accepted)
     3       1     message type (:class:`MessageType`)
     4       1     flags (bit 0 = response, bit 1 = error)
-    5       4     request id (big-endian; response echoes the request's)
+    5       4     request id (big-endian; response echoes the request's;
+                  0 = one-way, never answered)
     9       4     body length in bytes (big-endian)
     13      ...   body
 
@@ -29,13 +30,14 @@ trace context (``{"trace_id": ..., "span_id": ...}``, see
 :mod:`repro.obs.causal`) of the caller.  It is stripped from the payload on
 decode and attached to requests only when a repair is being traced.
 
-Version 2 adds the *stream plane*: a sliced bulk transfer travels as a
-``STREAM_BEGIN`` / ``STREAM_DATA``* / ``STREAM_END`` sub-frame sequence
-(``STREAM_ABORT`` for early teardown), each an ordinary acknowledged
-frame, so one logical transfer pipelines across hops without any single
-frame holding the whole chunk.  Readers accept both versions — v1 never
-emits stream types, and every v1 frame is bit-identical under v2 — and
-reject anything else.  The normative spec is ``docs/PROTOCOL.md``.
+The *stream plane* moves a sliced bulk transfer as a ``STREAM_BEGIN`` /
+``STREAM_DATA``* / ``STREAM_END`` sub-frame sequence (``STREAM_ABORT`` for
+early teardown), so one logical transfer pipelines across hops without
+any single frame holding the whole chunk.  BEGIN, END and ABORT are
+acknowledged calls; since version 3 every ``STREAM_DATA`` is a one-way
+frame (request id 0) that TCP alone flow-controls.  The layout is the
+v2 layout, but a v2 sender would wait forever for DATA acks, so readers
+accept version 3 only.  The normative spec is ``docs/PROTOCOL.md``.
 
 Senders should prefer :func:`write_frame` (or :func:`frame_parts`) over
 :func:`encode_frame`: each buffer's ``memoryview`` goes to the transport
@@ -62,10 +64,11 @@ from repro.errors import ReproError, WireFormatError
 
 MAGIC = b"PP"
 #: Version stamped on every emitted frame.
-VERSION = 2
-#: Versions :class:`FrameParser` accepts.  v1 is the pre-stream protocol —
-#: a strict subset of v2 — so old peers interoperate unmodified.
-SUPPORTED_VERSIONS = (1, 2)
+VERSION = 3
+#: Versions :class:`FrameParser` accepts.  v1/v2 peers expect every
+#: STREAM_DATA to be answered, so they are refused at the first header
+#: rather than left to hang.
+SUPPORTED_VERSIONS = (3,)
 
 #: Frame header: magic, version, type, flags, request id, body length.
 HEADER = struct.Struct("!2sBBBII")
@@ -106,7 +109,8 @@ class MessageType(enum.IntEnum):
     #: Cockpit pull: one RPC answering query/fleet/top/prom/stats
     #: against the collector's tiered retention.
     COLLECTOR_QUERY = 44
-    # Stream plane (v2): sliced bulk transfer as BEGIN / DATA* / END
+    # Stream plane: sliced bulk transfer as BEGIN / DATA* / END (DATA
+    # is one-way)
     STREAM_BEGIN = 50
     STREAM_DATA = 51
     STREAM_END = 52

@@ -224,6 +224,82 @@ class TestStreamFailureRecovery:
 
         asyncio.run(scenario())
 
+    def test_transport_abort_mid_stream_replans(self):
+        """A helper's connection to its parent dies mid-stream while both
+        servers live on.  Reconnecting would let DATA i+1.. overtake a
+        lost DATA i, so the pinned sender fails instead: it aborts, the
+        repair replans to identical bytes, and nothing is left behind."""
+
+        async def scenario():
+            config = LiveConfig(
+                heartbeat_interval=0.3,
+                failure_detection_timeout=1.5,
+                connect_timeout=1.0,
+                rpc_timeout=1.0,
+                partial_wait_timeout=2.0,
+                repair_timeout=6.0,
+                max_retries=1,
+                backoff_base=0.02,
+                backoff_max=0.1,
+                max_attempts=2,
+                compute_delay=0.3,
+            )
+            async with LiveCluster(
+                num_servers=10, config=config, payload_bytes=1152
+            ) as cluster:
+                stripe = await cluster.write_stripe("rs(6,3)")
+                lost = 0
+                truth = cluster.truth_payload(stripe.chunk_ids[lost])
+                await cluster.kill_server(stripe.hosts[lost])
+                cuts: "list[asyncio.Task[str]]" = []
+
+                async def cut(info: LiveAttempt, victim: str) -> str:
+                    server = cluster.server(victim)
+                    while info.repair_id not in server.tasks:
+                        await asyncio.sleep(0.005)
+                    task = server.tasks[info.repair_id]
+                    parent = cluster.server(task.request.parent)
+                    client = server.pool.get(task.peers[task.request.parent])
+                    stream_id = f"{info.repair_id}/{victim}"
+                    # BEGIN's ack is back at the victim (a cut before it
+                    # would only make the BEGIN call retry), and
+                    # compute_delay still holds slice 0 back.
+                    while client._pending or stream_id not in {
+                        s.stream_id for s in parent.inbox.streams()
+                    }:
+                        await asyncio.sleep(0.005)
+                    client._connection.close(abort=True)
+                    return victim
+
+                def on_attempt(info: LiveAttempt) -> None:
+                    if info.attempt == 1:
+                        victim = next(
+                            a for a in info.aggregators if a != info.destination
+                        )
+                        cuts.append(asyncio.create_task(cut(info, victim)))
+
+                report = await cluster.repair(
+                    stripe.stripe_id,
+                    lost_index=lost,
+                    strategy="ppr",
+                    on_attempt=on_attempt,
+                    num_slices=8,
+                )
+                assert [await c for c in cuts]
+                assert report.attempts == 2
+                assert not report.excluded  # everyone answered: no culprit
+                assert report.result.verified
+                assert np.array_equal(report.payload, truth)
+
+                await asyncio.sleep(0.1)  # late ABORT/REPAIR_ABORT acks
+                for server in cluster.servers.values():
+                    if server.alive:
+                        assert len(server.inbox) == 0
+                        assert not server.tasks
+                        assert not server._background
+
+        asyncio.run(scenario())
+
 
 class TestStalledStreamWatchdog:
     """A wedged-but-alive helper: only the doctor watchdog can find it.

@@ -154,7 +154,7 @@ class TestFuzz:
     @given(st.binary(max_size=512), chunkings)
     @settings(max_examples=200, deadline=None)
     def test_random_bytes_behind_a_valid_magic_and_version(self, blob, chunks):
-        hostile(b"PP\x02" + blob, chunks)
+        hostile(b"PP" + bytes([wire.VERSION]) + blob, chunks)
 
     @given(frames(), st.data(), chunkings)
     @settings(max_examples=200, deadline=None)
@@ -173,14 +173,17 @@ class TestFuzz:
     @given(st.integers(0, 2**32 - 1), st.binary(max_size=64), chunkings)
     @settings(max_examples=200, deadline=None)
     def test_hostile_length_prefixes(self, body_len, tail, chunks):
-        head = HEADER.pack(b"PP", 2, int(MessageType.PUT_CHUNK), 0, 1, body_len)
+        version = wire.VERSION
+        head = HEADER.pack(b"PP", version, int(MessageType.PUT_CHUNK), 0, 1, body_len)
         hostile(head + tail, chunks)
         # ... and a hostile JSON length word inside a modest body.
         body = struct.pack("!I", body_len) + tail
-        hostile(HEADER.pack(b"PP", 2, 10, 0, 1, len(body)) + body, chunks)
+        hostile(HEADER.pack(b"PP", version, 10, 0, 1, len(body)) + body, chunks)
 
     def test_oversize_is_refused_before_allocating(self):
-        head = HEADER.pack(b"PP", 2, int(MessageType.PUT_CHUNK), 0, 1, 2**32 - 1)
+        head = HEADER.pack(
+            b"PP", wire.VERSION, int(MessageType.PUT_CHUNK), 0, 1, 2**32 - 1
+        )
         parser = FrameParser(MAX_FRAME)
         with mock.patch.object(
             wire, "bytearray", mock.Mock(side_effect=AssertionError), create=True

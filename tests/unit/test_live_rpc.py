@@ -435,6 +435,74 @@ class TestTransport:
         assert (sources[0] == 3).all() and (sources[1] == 5).all()
 
 
+class TestOneWay:
+    """``RpcClient.send``: request id 0, handled inline, never answered."""
+
+    def test_one_way_frames_run_inline_in_order_without_a_reply(self):
+        async def scenario():
+            server = await echo_server()
+            seen = []
+
+            async def record(frame: Frame):
+                seen.append((frame.payload["i"], len(server._tasks)))
+
+            server.register(MessageType.DROP_CHUNK, record)
+            client = RpcClient(server.address, CONFIG)
+            try:
+                for i in range(20):
+                    await client.send(MessageType.DROP_CHUNK, {"i": i})
+                await client.call(MessageType.PING, {})  # after all 20
+                return seen, dict(client._pending)
+            finally:
+                await client.close()
+                await server.close()
+
+        seen, pending = run(scenario())
+        assert seen == [(i, 0) for i in range(20)]  # no dispatch task
+        assert pending == {}
+
+    def test_suspending_one_way_handler_fails_loudly(self):
+        """A one-way handler that awaits would be overtaken by later
+        frames; the server refuses to run it that way: the error is
+        reported to the loop and the connection is dropped."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, ctx: reported.append(ctx))
+            server = await echo_server()
+
+            async def suspends(frame: Frame):
+                await asyncio.sleep(0)
+
+            server.register(MessageType.DROP_CHUNK, suspends)
+            client = RpcClient(server.address, CONFIG)
+            try:
+                await client.call(MessageType.PING, {})
+                connection = client._connection
+                await client.send(MessageType.DROP_CHUNK, {})
+                for _ in range(200):
+                    if client._connection is None:
+                        break
+                    await asyncio.sleep(0.005)
+                dropped = client._connection is None and connection.is_closing()
+                # a fresh connection serves requests again
+                answered = await client.call(MessageType.PING, {"n": 2})
+                return reported, dropped, answered.payload, server._tasks
+            finally:
+                await client.close()
+                await server.close()
+
+        reported, dropped, answered, tasks = run(scenario())
+        assert dropped
+        errors = [ctx.get("exception") for ctx in reported]
+        assert any(
+            isinstance(e, RuntimeError) and "suspended" in str(e) for e in errors
+        ), reported
+        assert answered["echo"] == {"n": 2}
+        assert not tasks
+
+
 class TestRpcClientPool:
     def test_pool_reuses_clients(self):
         pool = RpcClientPool(CONFIG)

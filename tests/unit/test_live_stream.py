@@ -1,9 +1,10 @@
-"""Wire v2 stream plane: framing, sender window, bounded inbox, slices.
+"""Wire v3 stream plane: framing, one-way DATA, pinned sender, slices.
 
 Covers the protocol-level edge cases the spec (docs/PROTOCOL.md) calls
-out: golden-bytes pinning of the v2 encoding, version acceptance,
+out: golden-bytes pinning of the v3 encoding, version acceptance,
 out-of-order and duplicate slice segments, truncated streams (peer death
-mid-transfer), abort semantics, and receiver backpressure.
+mid-transfer), a connection change mid-stream, abort semantics, TCP
+backpressure, and in-place aggregation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.fs.messages import PartialOpRequest
 from repro.live.chunkserver import _PartialTask
 from repro.live.config import LiveConfig
 from repro.live.rpc import (
-    InboundStream,
     RpcClient,
     RpcServer,
     StreamInbox,
@@ -50,8 +50,6 @@ CONFIG = LiveConfig(
     max_retries=0,
     backoff_base=0.01,
     backoff_max=0.05,
-    stream_window=4,
-    stream_queue_depth=4,
 )
 
 
@@ -71,12 +69,12 @@ def parse_one(raw: bytes) -> Frame:
 # Encoding: golden bytes, version negotiation, zero-copy parts
 # ----------------------------------------------------------------------
 class TestWireV2Encoding:
-    #: Hand-checkable v2 STREAM_DATA frame: magic "PP", version 2,
-    #: mtype 51, flags 0, request_id 7, then 4-byte JSON length, the
-    #: header JSON (payload keys in insertion order, ``__buffers__``
-    #: appended last) and the raw segment bytes 00 01 02 03.
+    #: Hand-checkable v3 STREAM_DATA frame: magic "PP", version 3,
+    #: mtype 51, flags 0, request_id 0 (one-way), then 4-byte JSON
+    #: length, the header JSON (payload keys in insertion order,
+    #: ``__buffers__`` appended last) and the raw segment bytes 00 01 02 03.
     GOLDEN_HEX = (
-        "50500233000000000700000052000000"
+        "50500333000000000000000052000000"
         "4a7b2273747265616d5f6964223a2272312f63732d3030222c22736c696365"
         "5f696e646578223a332c226f6666736574223a31362c225f5f627566666572"
         "735f5f223a5b5b322c345d5d7d00010203"
@@ -85,7 +83,7 @@ class TestWireV2Encoding:
     def golden_frame(self) -> Frame:
         return Frame(
             mtype=MessageType.STREAM_DATA,
-            request_id=7,
+            request_id=0,
             payload={
                 "stream_id": "r1/cs-00",
                 "slice_index": 3,
@@ -95,7 +93,7 @@ class TestWireV2Encoding:
         )
 
     def test_golden_bytes(self):
-        """The v2 encoding is pinned byte-for-byte.
+        """The v3 encoding is pinned byte-for-byte.
 
         If this fails you changed the wire format: bump VERSION and
         update docs/PROTOCOL.md (including its worked hexdump).
@@ -105,7 +103,7 @@ class TestWireV2Encoding:
     def test_golden_bytes_decode(self):
         frame = parse_one(bytes.fromhex(self.GOLDEN_HEX))
         assert frame.mtype is MessageType.STREAM_DATA
-        assert frame.request_id == 7
+        assert frame.request_id == 0
         assert frame.payload["slice_index"] == 3
         assert frame.payload["offset"] == 16
         assert np.array_equal(
@@ -119,17 +117,20 @@ class TestWireV2Encoding:
         frame = parse_one(bytes(raw))
         assert frame.payload["stream_id"] == "r1/cs-00"
 
-    @pytest.mark.parametrize("version", [0, 3, 9, 255])
+    #: 1 and 2 are retired: their senders wait for DATA acks v3 never
+    #: sends, so they are refused at the header instead of left to hang.
+    @pytest.mark.parametrize("version", [0, 1, 2, 9, 255])
     def test_reader_rejects_unknown_versions(self, version):
         raw = bytearray(encode_frame(self.golden_frame()))
         raw[2] = version
         with pytest.raises(WireFormatError, match="version"):
             parse_one(bytes(raw))
 
-    def test_writer_emits_version_2(self):
+    def test_writer_emits_version_3(self):
         raw = encode_frame(self.golden_frame())
         _, version, _, _, _, _ = HEADER.unpack(raw[: HEADER.size])
-        assert version == VERSION == 2
+        assert version == VERSION == 3
+        assert SUPPORTED_VERSIONS == (3,)
 
     def test_frame_parts_are_zero_copy(self):
         """Buffer parts alias the source arrays — no serialization copy."""
@@ -227,7 +228,7 @@ class TestSliceAggregation:
         seg = np.arange(8, dtype=np.uint8)
         assert task.merge_segment("cs-01", 0, 0, {0: seg})
         before = task.partial[0].copy()
-        # RPC retry redelivers the same segment: must not double-XOR.
+        # The same segment again must not double-XOR.
         assert not task.merge_segment("cs-01", 0, 0, {0: seg})
         assert np.array_equal(task.partial[0], before)
 
@@ -259,29 +260,51 @@ class TestSliceAggregation:
         assert task.slice_event(0).is_set()
         assert not task.slice_event(1).is_set()
 
+    def test_whole_partials_aggregate_in_place(self):
+        """The local partial is adopted, not copied, and later
+        contributions XOR into that very array."""
+        rng = np.random.default_rng(9)
+        local = {r: rng.integers(0, 256, 16, np.uint8) for r in (0, 1)}
+        remote = {r: rng.integers(0, 256, 16, np.uint8) for r in (0, 1)}
+        expected = RepairRecipe.merge_partials(local, remote)
+        held = dict(local)
+        task = make_task(children=("cs-01",), num_slices=1, chunk_id="c0")
+        task.add_local(local)
+        assert all(task.partial[r] is held[r] for r in (0, 1))
+        assert task.add_remote("cs-01", remote, [], [])
+        assert all(task.partial[r] is held[r] for r in (0, 1))
+        for r in (0, 1):
+            assert np.array_equal(task.partial[r], expected[r])
+        assert task.inputs_ready.is_set()
+
 
 # ----------------------------------------------------------------------
-# Transport: sender window, bounded inbox, abort, truncation
+# Transport: one-way DATA, pinned sender, TCP backpressure, abort
 # ----------------------------------------------------------------------
 async def stream_server(config=CONFIG):
-    """An RpcServer wired like a chunk server's stream plane."""
+    """An RpcServer wired like a chunk server's stream plane, except that
+    DATA frames are queued for the test to read instead of merged."""
     server = RpcServer("sink", config)
     inbox = StreamInbox(config)
+    server.trailers = {}
 
     async def on_begin(frame: Frame):
         inbox.open(str(frame.payload["stream_id"]), frame.payload)
         return {"accepted": True}
 
-    async def on_data(frame: Frame):
-        stream = inbox.get(str(frame.payload["stream_id"]))
+    async def on_data(frame: Frame):  # one-way: must not suspend
+        try:
+            stream = inbox.get(str(frame.payload["stream_id"]))
+        except StreamError:
+            return  # nobody to tell: the frame is dropped
+        stream.bytes_received += sum(b.nbytes for b in frame.buffers.values())
         await stream.deliver(frame, timeout=config.partial_wait_timeout)
-        return {"queued": True}
 
     async def on_end(frame: Frame):
         stream = inbox.get(str(frame.payload["stream_id"]))
-        stream.end_payload = dict(frame.payload)
+        server.trailers[stream.stream_id] = dict(frame.payload)
         stream.finish()
-        return {"merged": True}
+        return {"merged": True, "nbytes": stream.bytes_received}
 
     async def on_abort(frame: Frame):
         stream_id = str(frame.payload["stream_id"])
@@ -322,17 +345,22 @@ class TestStreamTransport:
                         got.append(int(frame.payload["slice_index"]))
 
                 consumer = asyncio.create_task(consume())
-                await sender.end({"trailer": True})
+                reply = await sender.end({"trailer": True})
                 await consumer
-                return got, stream.end_payload, sender.bytes_sent
+                return (
+                    got,
+                    server.trailers["r1/cs-00"],
+                    sender.bytes_sent,
+                    reply.payload["nbytes"],
+                )
             finally:
                 await client.close()
                 await server.close()
 
-        got, trailer, sent = run(scenario())
-        assert sorted(got) == [0, 1, 2]
+        got, trailer, sent, acked = run(scenario())
+        assert got == [0, 1, 2]  # one connection: arrival order is send order
         assert trailer["trailer"] is True
-        assert sent == 12
+        assert sent == acked == 12
 
     def test_data_without_begin_is_rejected(self):
         async def scenario():
@@ -349,17 +377,27 @@ class TestStreamTransport:
         run(scenario())
 
     def test_unknown_stream_id_is_a_remote_error(self):
+        """END for an unknown stream is answered with StreamError; a
+        one-way DATA for it is dropped and the connection lives on."""
+
         async def scenario():
             server, _ = await stream_server()
             client = RpcClient(server.address, CONFIG)
             try:
+                await client.send(
+                    MessageType.STREAM_DATA,
+                    {"stream_id": "never-opened", "slice_index": 0,
+                     "offset": 0},
+                    {0: np.zeros(4, np.uint8)},
+                )
+                connection = client._connection
                 with pytest.raises(RpcError) as err:
                     await client.call(
-                        MessageType.STREAM_DATA,
-                        {"stream_id": "never-opened", "slice_index": 0,
-                         "offset": 0},
+                        MessageType.STREAM_END,
+                        {"stream_id": "never-opened"},
                         retries=0,
                     )
+                assert client._connection is connection
                 return str(err.value)
             finally:
                 await client.close()
@@ -368,34 +406,62 @@ class TestStreamTransport:
         assert "StreamError" in run(scenario())
 
     def test_truncated_stream_poisons_sender(self):
-        """Peer death mid-stream surfaces at end(), not silently."""
+        """Peer death mid-stream surfaces at the next call, not silently,
+        and every call after it fails too."""
 
         async def scenario():
             server, _ = await stream_server()
             client = RpcClient(server.address, CONFIG)
             sender = StreamSender(client, "r1/cs-00", CONFIG)
+            segment = {0: np.zeros(4, np.uint8)}
             try:
                 await sender.begin({"repair_id": "r1", "sender": "cs-00"})
-                await sender.data(
-                    {"slice_index": 0, "offset": 0},
-                    {0: np.zeros(4, np.uint8)},
-                )
-                await sender.drain()
+                await sender.data({"slice_index": 0, "offset": 0}, segment)
                 # The receiver dies: remaining DATA and END must fail.
                 await server.close(abort=True)
-                try:
+                with pytest.raises((RpcError, StreamError)):
                     await sender.data(
-                        {"slice_index": 1, "offset": 4},
-                        {0: np.zeros(4, np.uint8)},
+                        {"slice_index": 1, "offset": 4}, segment
                     )
                     await sender.end({})
-                except (RpcError, StreamError):
-                    return True
-                return False
+                with pytest.raises((RpcError, StreamError)):
+                    await sender.end({})
             finally:
                 await client.close()
 
-        assert run(scenario())
+        run(scenario())
+
+    def test_connection_change_poisons_stream(self):
+        """A lost connection must not be silently replaced mid-stream:
+        a reconnect would carry DATA i+1.. without DATA i.  The sender
+        is pinned to BEGIN's connection and fails instead."""
+
+        async def scenario():
+            server, inbox = await stream_server()
+            client = RpcClient(server.address, CONFIG)
+            sender = StreamSender(client, "r1/cs-00", CONFIG)
+            segment = {0: np.zeros(4, np.uint8)}
+            try:
+                await sender.begin({"repair_id": "r1", "sender": "cs-00"})
+                await sender.data({"slice_index": 0, "offset": 0}, segment)
+                client._connection.close(abort=True)
+                await client.call(  # another stream reconnects the client
+                    MessageType.STREAM_BEGIN,
+                    {"stream_id": "r1/cs-01", "repair_id": "r1"},
+                )
+                with pytest.raises(StreamError, match="lost since BEGIN"):
+                    await sender.data(
+                        {"slice_index": 1, "offset": 4}, segment
+                    )
+                with pytest.raises(StreamError):
+                    await sender.end({})
+                await asyncio.sleep(0.05)
+                return inbox.get("r1/cs-00").bytes_received
+            finally:
+                await client.close()
+                await server.close()
+
+        assert run(scenario()) <= 4  # slice 1 never left the sender
 
     def test_stream_abort_frees_receiver_state(self):
         async def scenario():
@@ -436,60 +502,36 @@ class TestStreamTransport:
         assert run(scenario())
 
     def test_backpressure_stalls_then_times_out(self):
-        """A consumer that never drains fails DATA with a clear error."""
-        config = LiveConfig(
-            connect_timeout=1.0,
-            rpc_timeout=2.0,
-            partial_wait_timeout=0.2,
-            max_retries=0,
-            stream_window=1,
-            stream_queue_depth=1,
-        )
+        """A receiver that stops reading stalls ``data()`` in ``drain()``
+        — a bounded wait on it times out — with no ack or window
+        involved; once it reads again, END's ack reports every byte."""
+        segment = {0: np.zeros(1 << 20, np.uint8)}
 
         async def scenario():
-            server, inbox = await stream_server(config)
-            client = RpcClient(server.address, config)
-            sender = StreamSender(client, "r1/cs-00", config)
+            server, _ = await stream_server()
+            client = RpcClient(server.address, CONFIG)
+            sender = StreamSender(client, "r1/cs-00", CONFIG)
             try:
                 await sender.begin({"repair_id": "r1", "sender": "cs-00"})
-                # Nobody consumes: slot 1 queues, slot 2 must stall and
-                # eventually fail with the receiver-stalled StreamError.
-                await sender.data(
-                    {"slice_index": 0, "offset": 0},
-                    {0: np.zeros(4, np.uint8)},
-                )
-                await sender.data(
-                    {"slice_index": 1, "offset": 4},
-                    {0: np.zeros(4, np.uint8)},
-                )
-                with pytest.raises((RpcError, StreamError)) as err:
-                    await sender.drain()
-                    await sender.end({})
-                return str(err.value)
+                (connection,) = server._connections
+                connection._transport.pause_reading()
+                for index in range(64):  # the socket buffers fill up
+                    pending = asyncio.ensure_future(
+                        sender.data({"slice_index": index, "offset": 0}, segment)
+                    )
+                    done, _ = await asyncio.wait({pending}, timeout=0.2)
+                    if not done:
+                        break
+                    pending.result()
+                assert not pending.done(), "data() never blocked"
+                connection._transport.resume_reading()
+                await asyncio.wait_for(pending, 5.0)
+                reply = await sender.end({})
+                return index + 1, sender.bytes_sent, reply.payload["nbytes"]
             finally:
                 await client.close()
                 await server.close()
 
-        message = run(scenario())
-        assert "stalled" in message or "full" in message
-
-    def test_queue_bound_applies_to_data_not_sentinel(self):
-        """END/ABORT always land, even when the DATA queue is full."""
-        config = LiveConfig(stream_queue_depth=1, partial_wait_timeout=0.2)
-
-        async def scenario():
-            stream = InboundStream("s", {}, maxsize=1)
-            frame = Frame(
-                mtype=MessageType.STREAM_DATA,
-                request_id=1,
-                payload={"stream_id": "s", "slice_index": 0, "offset": 0},
-            )
-            await stream.deliver(frame, timeout=0.2)
-            # Queue is at capacity; finish() must still succeed.
-            stream.finish()
-            first = await stream.next_frame()
-            assert first is not None
-            assert await stream.next_frame() is None
-            return True
-
-        assert run(scenario())
+        frames, sent, acked = run(scenario())
+        assert frames > 1
+        assert sent == acked == frames * (1 << 20)

@@ -76,7 +76,7 @@ class TestWorkedHexdumpIsGolden:
         assert version == wire.VERSION
         assert wire.MessageType(mtype) is wire.MessageType.STREAM_DATA
         assert flags == 0
-        assert request_id == 7
+        assert request_id == 0  # one-way: STREAM_DATA is never answered
         assert body_len == len(raw) - wire.HEADER.size
 
     def test_hexdump_matches_wire_encoding_exactly(self):
@@ -84,7 +84,7 @@ class TestWorkedHexdumpIsGolden:
 
         frame = wire.Frame(
             mtype=wire.MessageType.STREAM_DATA,
-            request_id=7,
+            request_id=0,
             payload={
                 "stream_id": "r1/cs-00",
                 "slice_index": 3,
