@@ -15,10 +15,10 @@ Tables built at import time (total < 140 KiB):
 ``GF_LOG[a]``  — discrete log of a (GF_LOG[0] is a sentinel, never read).
 ``GF_MUL``     — full 256x256 product table; row ``GF_MUL[a]`` is the map
                  ``x -> a*x``, gathered over the small coefficient vectors
-                 of the matrix algebra.
-``GF_MUL_MAPS[a]`` — the same row as a 256-byte ``bytes.translate`` table,
-                 the form the bulk-buffer kernel in
-                 :mod:`repro.galois.vector` multiplies with.
+                 of the matrix algebra.  The bulk-buffer kernel in
+                 :mod:`repro.galois.vector` gathers short buffers through
+                 a row directly and widens rows into 16-bit pair tables
+                 for long ones.
 ``GF_INV[a]``  — multiplicative inverse (GF_INV[0] is a sentinel).
 """
 
@@ -69,7 +69,6 @@ def _build_inv(exp: np.ndarray, log: np.ndarray) -> np.ndarray:
 GF_EXP, GF_LOG = _build_exp_log()
 GF_MUL = _build_mul(GF_EXP, GF_LOG)
 GF_INV = _build_inv(GF_EXP, GF_LOG)
-GF_MUL_MAPS = tuple(row.tobytes() for row in GF_MUL)
 
 # The tables are module-level shared state; make accidental writes loud.
 GF_EXP.setflags(write=False)

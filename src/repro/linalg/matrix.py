@@ -139,7 +139,10 @@ class GFMatrix:
             )
         if buffers.dtype != np.uint8:
             raise GaloisError("mul_buffer: buffers must be uint8")
-        out = np.zeros((self.rows, buffers.shape[1]), dtype=np.uint8)
+        # combine writes every row some entry names; only all-zero matrix
+        # rows need clearing.
+        out = np.empty((self.rows, buffers.shape[1]), dtype=np.uint8)
+        out[~self._data.any(axis=1)] = 0
         combine(
             out,
             buffers,

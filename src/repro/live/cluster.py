@@ -176,7 +176,11 @@ class LiveCluster:
                 },
                 buffers={0: payload},
             )
-            self._truth[chunk_id] = payload.copy()
+            # The server's copy arrived over TCP into its own buffer, so
+            # the encoder's row is the truth as is; freeze it instead of
+            # copying it.
+            payload.flags.writeable = False
+            self._truth[chunk_id] = payload
 
         meta_client = self.pool.get(self.meta.address)
         await meta_client.call(

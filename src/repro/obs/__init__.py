@@ -18,7 +18,7 @@ it is off.  Every instrumentation site follows the same pattern::
 
 i.e. a module-global read plus an ``is not None`` check on the hot path
 — no allocation, no locking, no string formatting — which is what keeps
-``bench_gf_kernels`` / ``bench_fig1_phase_breakdown`` flat with obs
+the ``galois.*`` perf rungs / ``bench_fig1_phase_breakdown`` flat with obs
 disabled (an acceptance criterion for this layer).
 
 Metrics are always-on (the registry is cheap and process-wide) but the

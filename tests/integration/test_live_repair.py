@@ -139,6 +139,31 @@ class TestClusterPlumbing:
 
         asyncio.run(scenario())
 
+    def test_truth_rows_are_read_only_and_catch_a_flipped_byte(self):
+        """The harness keeps the encoder's rows, frozen, not copies."""
+
+        async def scenario():
+            async with LiveCluster(
+                num_servers=10, config=CONFIG, payload_bytes=1152
+            ) as cluster:
+                stripe = await cluster.write_stripe("rs(6,3)")
+                for chunk_id, host in zip(stripe.chunk_ids, stripe.hosts):
+                    truth = cluster.truth_payload(chunk_id)
+                    assert not truth.flags.writeable
+                    with pytest.raises(ValueError):
+                        truth[0] ^= 1
+                    stored = cluster.server(host).chunks[chunk_id].payload
+                    assert not np.shares_memory(stored, truth)
+                    stored[5] ^= 0x01  # bit rot on the server's copy
+                    client = cluster.pool.get(cluster.server(host).address)
+                    response = await client.call(
+                        MessageType.GET_CHUNK, {"chunk_id": chunk_id}
+                    )
+                    assert not np.array_equal(response.buffers[0], truth)
+                    assert response.buffers[0][5] == truth[5] ^ 0x01
+
+        asyncio.run(scenario())
+
     def test_lost_index_is_auto_detected(self):
         async def scenario():
             async with LiveCluster(

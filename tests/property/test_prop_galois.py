@@ -1,9 +1,12 @@
 """Property-based tests: GF(2^8) field axioms and the bulk kernels."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.galois import vector
 from repro.galois.field import gf256
 from repro.galois.tables import GF_MUL
 from repro.galois.vector import BLOCK, addmul, combine, scale, xor_into
@@ -145,3 +148,46 @@ def test_combine_matches_naive_addmul_loop(entries, length, seed):
         addmul(naive[lost_row], coeff, sources[helper_row])
     for row in out:
         assert np.array_equal(out[row], naive[row])
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=3),
+            elements,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.one_of(
+        block_edge_lengths.map(lambda n: (n,)),
+        st.tuples(
+            st.integers(min_value=1, max_value=7),
+            st.integers(min_value=0, max_value=BLOCK // 2 + 3),
+        ),
+    ),
+    st.integers(min_value=0, max_value=3),
+    seeds,
+)
+@settings(max_examples=30, deadline=None)
+def test_parallel_combine_matches_reference_gather(
+    workers, entries, shape, offset, seed
+):
+    """Any pool size, entries, shape and (odd) start address: a GF_MUL gather."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    backing = rng.integers(0, 256, size=(4, size + offset), dtype=np.uint8)
+    sources = [row[offset:].reshape(shape) for row in backing]
+    out = {
+        row: np.empty(size + offset, dtype=np.uint8)[offset:].reshape(shape)
+        for row, _, _ in entries
+    }
+    with mock.patch.object(vector, "_WORKERS", workers):
+        combine(out, sources, entries)
+    expected = {row: np.zeros(shape, dtype=np.uint8) for row in out}
+    for row, source, coeff in entries:
+        expected[row] ^= GF_MUL[coeff][sources[source]]
+    for row in out:
+        assert np.array_equal(out[row], expected[row])

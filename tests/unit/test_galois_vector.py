@@ -1,14 +1,34 @@
 """Vectorized GF kernels against scalar and table-gather references."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.errors import GaloisError
+from repro.galois import vector
 from repro.galois.field import gf256
 from repro.galois.tables import GF_MUL
-from repro.galois.vector import BLOCK, addmul, combine, scale, xor_into
+from repro.galois.vector import (
+    BLOCK,
+    MIN_BLOCKS_PER_WORKER,
+    PAIR_MIN,
+    TABLE_CACHE,
+    addmul,
+    combine,
+    scale,
+    xor_into,
+)
 
-BLOCK_EDGE_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+#: Block edges, and half-block edges (where a block would end at half the size).
+BLOCK_EDGE_LENGTHS = [0, 1] + [
+    edge + delta
+    for edge in (BLOCK // 2, BLOCK)
+    for delta in (-1, 0, 1)
+] + [3 * BLOCK // 2 + 7, 3 * BLOCK + 7]
 
 
 @pytest.fixture
@@ -30,6 +50,14 @@ def test_every_coefficient_matches_scalar_oracle():
         acc = np.zeros(256, dtype=np.uint8)
         addmul(acc, coeff, every_byte)
         assert acc.tolist() == expected
+
+
+def test_every_pair_table_entry_matches_byte_table():
+    """Pair-table lookups (long buffers) cover every byte pair, both orders."""
+    every_pair = np.arange(65536, dtype=np.uint16).view(np.uint8)
+    assert every_pair.size >= PAIR_MIN
+    for coeff in range(256):
+        assert np.array_equal(scale(coeff, every_pair), GF_MUL[coeff][every_pair])
 
 
 def test_scale_zero_and_one(buf):
@@ -196,3 +224,176 @@ def test_bad_coefficient_rejected(buf):
     with pytest.raises(GaloisError):
         combine([untouched], [buf], [(0, 0, 5), (0, 0, 256)])
     assert np.array_equal(untouched, buf)  # validated before any write
+
+
+# ----------------------------------------------------------------------
+# The block-parallel walk
+# ----------------------------------------------------------------------
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"workers={n}")
+def workers(request, monkeypatch):
+    """Split parallel-sized calls over ``n`` pool workers on any host."""
+    monkeypatch.setattr(vector, "_WORKERS", request.param)
+    monkeypatch.setattr(vector, "_pool", None)
+    yield request.param
+    if vector._pool is not None:
+        vector._pool.shutdown()
+
+
+def share_edge_lengths(workers):
+    """Lengths whose shares end on, before and after a block edge."""
+    least = MIN_BLOCKS_PER_WORKER * workers
+    return [
+        blocks * BLOCK + delta
+        for blocks in (least, least + 1, 2 * least + 1)
+        for delta in (-1, 0, 1)
+    ]
+
+
+def test_walk_splits_into_contiguous_shares(workers, monkeypatch):
+    seen = []
+    walk = vector._walk
+
+    def spy(*args):
+        seen.append((args[-2], args[-1], threading.get_ident()))
+        walk(*args)
+
+    monkeypatch.setattr(vector, "_walk", spy)
+    length = MIN_BLOCKS_PER_WORKER * workers * BLOCK + 3
+    scale(3, np.zeros(length, dtype=np.uint8))
+    spans = sorted((start, stop) for start, stop, _ in seen)
+    assert len(spans) == workers + 1
+    assert spans[0][0] == 0 and spans[-1][1] == length
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert all(start % BLOCK == 0 for start, _ in spans)
+    # The caller runs the first share, the pool the rest.
+    assert [t == threading.get_ident() for s, _, t in seen if s == 0] == [True]
+    seen.clear()
+    scale(3, np.zeros((MIN_BLOCKS_PER_WORKER - 1) * BLOCK, dtype=np.uint8))
+    assert len(seen) == 1  # too small to split: inline
+
+
+def test_parallel_walk_matches_gather_at_share_edges(workers, rng):
+    for length in share_edge_lengths(workers):
+        src = rng.integers(0, 256, size=length, dtype=np.uint8)
+        other = rng.integers(0, 256, size=length, dtype=np.uint8)
+        before = rng.integers(0, 256, size=length, dtype=np.uint8)
+        for coeff in (1, 2, 87):
+            assert np.array_equal(scale(coeff, src), GF_MUL[coeff][src])
+            dst = before.copy()
+            addmul(dst, coeff, src)
+            assert np.array_equal(dst, before ^ GF_MUL[coeff][src])
+        out = [before.copy(), before.copy()]
+        combine(out, [src, other], [(0, 0, 9), (0, 1, 1), (1, 1, 200)])
+        assert np.array_equal(out[0], GF_MUL[9][src] ^ other)
+        assert np.array_equal(out[1], GF_MUL[200][other])
+
+
+def test_parallel_walk_odd_address_and_read_only_sources(workers, rng):
+    length = 2 * MIN_BLOCKS_PER_WORKER * workers * BLOCK + 1
+    raw = rng.integers(0, 256, size=length + 1, dtype=np.uint8)
+    for src in (raw[1:], np.frombuffer(raw.tobytes(), dtype=np.uint8)[1:]):
+        assert src.ctypes.data % 2 == 1
+        dst = np.zeros(src.size, dtype=np.uint8)
+        addmul(dst, 29, src)
+        assert np.array_equal(dst, GF_MUL[29][src])
+        out = np.empty(length + 1, dtype=np.uint8)[1:]  # odd-address output
+        combine([out], [src], [(0, 0, 29)])
+        assert np.array_equal(out, dst)
+
+
+def test_parallel_walk_strided_and_two_dimensional(workers, rng):
+    rows = 2 * MIN_BLOCKS_PER_WORKER * workers + 1
+    wide_src = rng.integers(0, 256, size=(rows, BLOCK + 6), dtype=np.uint8)
+    before = rng.integers(0, 256, size=wide_src.shape, dtype=np.uint8)
+    dst = before.copy()
+    addmul(dst, 201, wide_src)
+    assert np.array_equal(dst, before ^ GF_MUL[201][wide_src])
+    dst = before.copy()
+    addmul(dst[:, 1::2], 201, wide_src[:, ::2])
+    assert np.array_equal(dst[:, 1::2], before[:, 1::2] ^ GF_MUL[201][wide_src[:, ::2]])
+    assert np.array_equal(dst[:, ::2], before[:, ::2])  # gaps untouched
+    flat = wide_src.reshape(-1)[::3]
+    assert np.array_equal(scale(113, flat), GF_MUL[113][flat])
+
+
+def test_parallel_addmul_onto_itself(workers, rng):
+    original = rng.integers(
+        0, 256, size=MIN_BLOCKS_PER_WORKER * workers * BLOCK + 9, dtype=np.uint8
+    )
+    for coeff in (1, 2, 140):
+        aliased = original.copy()
+        addmul(aliased, coeff, aliased)
+        assert np.array_equal(aliased, GF_MUL[coeff ^ 1][original])
+
+
+def test_concurrent_callers_on_distinct_buffers(workers):
+    length = 2 * MIN_BLOCKS_PER_WORKER * workers * BLOCK + 5
+    failures = []
+
+    def caller(seed):
+        local = np.random.default_rng(seed)
+        src = local.integers(0, 256, size=(2, length), dtype=np.uint8)
+        for round_ in range(4):
+            coeff = int(local.integers(2, 256))
+            out = np.empty((2, length), dtype=np.uint8)
+            combine(out, src, [(0, 0, coeff), (0, 1, 1), (1, 1, round_)])
+            if not (
+                np.array_equal(out[0], GF_MUL[coeff][src[0]] ^ src[1])
+                and np.array_equal(out[1], GF_MUL[round_][src[1]])
+            ):
+                failures.append(seed)
+
+    threads = [threading.Thread(target=caller, args=(s,)) for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the callers' Python code too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_pair_table_cache_is_bounded(rng):
+    src = rng.integers(0, 256, size=PAIR_MIN + 1, dtype=np.uint8)
+    for coeff in range(256):
+        assert np.array_equal(scale(coeff, src), GF_MUL[coeff][src])
+        assert vector._pair_table.cache_info().currsize <= TABLE_CACHE
+    assert TABLE_CACHE == 32
+
+
+def test_short_buffers_build_no_pair_table(rng):
+    vector._pair_table.cache_clear()
+    short = rng.integers(0, 256, size=PAIR_MIN - 1, dtype=np.uint8)
+    assert np.array_equal(scale(99, short), GF_MUL[99][short])
+    assert vector._pair_table.cache_info().currsize == 0
+    scale(99, rng.integers(0, 256, size=PAIR_MIN, dtype=np.uint8))
+    assert vector._pair_table.cache_info().currsize == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_parallel_sized_combine(monkeypatch, rng):
+    monkeypatch.setattr(vector, "_WORKERS", 1)
+    src = rng.integers(0, 256, size=4 * BLOCK + 1, dtype=np.uint8)
+    expected = GF_MUL[87][src]
+    assert np.array_equal(scale(87, src), expected)  # the parent's pool is up
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through its status
+        try:
+            os._exit(0 if np.array_equal(scale(87, src), expected) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child hung in combine")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0

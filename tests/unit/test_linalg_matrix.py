@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GaloisError, SingularMatrixError
 from repro.galois.field import gf256
+from repro.galois.tables import GF_MUL
 from repro.linalg.matrix import GFMatrix
 
 
@@ -86,6 +87,15 @@ def test_mul_buffer_matches_matrix_product(rng):
     # Column 7 of the buffers behaves like a vector multiply.
     col = GFMatrix(buffers[:, 7:8])
     assert np.array_equal(out[:, 7], m.mul(col).data[:, 0])
+
+
+def test_mul_buffer_zero_rows_are_zero(rng):
+    m = GFMatrix([[0, 0, 0], [1, 0, 9], [0, 0, 0]])
+    buffers = rng.integers(1, 256, size=(3, 4096), dtype=np.uint8)
+    for _ in range(3):  # reused allocations must not leak stale bytes
+        out = m.mul_buffer(buffers)
+        assert not out[0].any() and not out[2].any()
+        assert np.array_equal(out[1], buffers[0] ^ GF_MUL[9][buffers[2]])
 
 
 def test_mul_buffer_shape_checks(rng):
