@@ -95,7 +95,7 @@ def ext_live_pipelining(
     """The `ext_pipelining` sweep, replayed over real sockets.
 
     Same question — does slicing converge repair time toward C/B? — but
-    answered by the `repro.live` streamed data path (wire v3 STREAM_*
+    answered by the `repro.live` streamed data path (wire v4 STREAM_*
     frames) instead of the flow simulator.  The repair send rate is
     token-bucket paced to ``rate_limit`` bytes/s so the payload transfer
     dominates localhost per-frame overhead; with C = ``payload_bytes``
@@ -172,7 +172,7 @@ def ext_live_pipelining(
             )
     notes = (
         "real sockets agree with the simulator: slicing pipelines the "
-        "chain's hops toward a single C/B, overtaking the unsliced PPR "
+        "chain's hops toward a single C/B, overtaking the one-slice PPR "
         "tree — the paper's open thread, measured on the live data path"
     )
     return ExperimentResult(

@@ -1184,8 +1184,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--stripe-id", default=None,
                      help="live stripe id to repair")
     rep.add_argument("--slices", type=int, default=1,
-                     help="--live ppr/chain: pipeline each hop as S "
-                          "sliced wire-v3 streams (1 = whole-chunk sends)")
+                     help="--live ppr/chain: stream each hop as S "
+                          "pipelined slices (1 = whole rows per hop)")
     rep.set_defaults(fn=cmd_repair)
 
     srv = sub.add_parser(

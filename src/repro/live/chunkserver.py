@@ -3,29 +3,28 @@
 Hosts chunk payloads in memory, serves reads, and runs both repair
 execution paths over sockets:
 
-* **PPR** (:data:`~repro.live.wire.MessageType.PARTIAL_OP` /
-  :data:`~repro.live.wire.MessageType.PARTIAL_RESULT`): compute the local
+* **PPR** (:data:`~repro.live.wire.MessageType.PARTIAL_OP`, then one
+  ``STREAM_BEGIN``/``DATA``/``END`` stream per hop): compute the local
   partial with the exact GF math of the simulator
   (:func:`repro.fs.messages.compute_partial`), XOR-merge the subtree's
-  partials as they arrive, forward the aggregate upstream — or, at the
-  repair destination, assemble and store the rebuilt chunk and answer the
-  coordinator's deferred RPC with it.
+  partials as they arrive, forward the aggregate upstream as S slices
+  (S = 1 moves whole rows) — or, at the repair destination, assemble and
+  store the rebuilt chunk and answer the coordinator's
+  :data:`~repro.live.wire.MessageType.REPAIR_RESULT` call with it.
+  BEGIN and DATA are one-way, so each DATA frame is XOR-merged into its
+  task's rows *in place* as it arrives — no queue, no task per frame, no
+  child's whole chunk ever buffered — and the END ack fails unless every
+  slice arrived.  A helper forwards slice ``i`` upstream the moment its
+  subtree has delivered slice ``i``, which is what drives repair time
+  toward C/B (Li et al., repair pipelining).
 * **Raw collection** (:data:`~repro.live.wire.MessageType.START_RAW_REPAIR`):
   the star/staggered destination role — pull raw rows from every helper
   over TCP (concurrently or one at a time) and decode centrally.
-* **Streamed PPR** (``STREAM_BEGIN``/``DATA``/``END``): when the plan
-  carries ``num_slices > 1``, each hop moves as S pipelined slices.
-  BEGIN is acked once the plan is known, so each one-way DATA frame is
-  XOR-merged into its task's rows *in place* as it arrives — no queue,
-  no task per frame, no child's whole chunk ever buffered — and the END
-  ack fails unless every slice arrived.  A helper forwards slice ``i``
-  upstream the moment its subtree has delivered slice ``i``, which is
-  what drives repair time toward C/B (Li et al., repair pipelining).
 
-Partial results are deduplicated by sender so RPC retries are idempotent,
-and results that arrive before their plan command are buffered briefly
-(frames from different peers race on real sockets); a stream's BEGIN
-waits for the plan instead.
+Segments are deduplicated by (sender, slice).  No stream can outrun its
+plan: the coordinator installs every non-leaf plan before any leaf gets
+one, and a helper opens its stream only once its slice 0 is ready, so a
+BEGIN for a repair with no plan here is stale and is dropped.
 """
 
 from __future__ import annotations
@@ -108,15 +107,15 @@ class _PartialTask:
     #: depends on it, encoding the ingress-link serialization that makes
     #: Theorem 1's step count observable in a stitched DAG.
     last_net_gid: "Optional[str]" = None
-    #: Streaming (num_slices > 1): bytes per partial row, learned from
-    #: the local chunk or the first STREAM_BEGIN.
+    #: Bytes per partial row, learned from the local chunk or the first
+    #: STREAM_BEGIN.
     row_len: int = 0
-    #: Streaming: per-slice set of child senders whose segment has been
-    #: GF-merged: what dedups a repeated segment and what the END ack
-    #: checks for completeness.
+    #: Per-slice set of child senders whose segment has been GF-merged:
+    #: what dedups a repeated segment and what the END ack checks for
+    #: completeness.
     slice_got: "Dict[int, Set[str]]" = field(default_factory=dict)
-    #: Streaming: per-slice readiness events — slice ``i`` is ready once
-    #: the local partial is in and every child's segment ``i`` is merged.
+    #: Per-slice readiness events — slice ``i`` is ready once the local
+    #: partial is in and every child's segment ``i`` is merged.
     slice_events: "Dict[int, asyncio.Event]" = field(default_factory=dict)
 
     @property
@@ -138,19 +137,16 @@ class _PartialTask:
         if self.inputs_complete:
             self.inputs_ready.set()
 
-    def _absorb(self, rows: "Dict[int, np.ndarray]") -> None:
-        """XOR a whole contribution into the aggregate in place.  Callers
-        hand over rows they own (``compute_partial`` output, a received
-        frame's buffers), so a row's first contribution is adopted."""
-        for row, buf in rows.items():
+    def add_local(self, partial: "Dict[int, np.ndarray]") -> None:
+        """XOR the local partial into the aggregate in place; the task
+        owns ``compute_partial``'s output, so a row's first contribution
+        is adopted."""
+        for row, buf in partial.items():
             mine = self.partial.get(row)
             if mine is None:
                 self.partial[row] = buf
             else:
                 np.bitwise_xor(mine, buf, out=mine)
-
-    def add_local(self, partial: "Dict[int, np.ndarray]") -> None:
-        self._absorb(partial)
         self.local_done = True
         self._check_ready()
         for index in range(self.num_slices):
@@ -159,22 +155,19 @@ class _PartialTask:
     def add_remote(
         self,
         sender: str,
-        buffers: "Dict[int, np.ndarray]",
         sub_trace: "List[trace.TraceRecord]",
         sub_traffic: "List[trace.TrafficRecord]",
     ) -> bool:
-        """Merge a child's partial (``{}`` at a stream's END: its segments
-        are merged already); False when it is a duplicate."""
+        """Record a child's finished stream (its segments are merged
+        already); False when it is a duplicate."""
         if sender in self.received or sender not in self.request.children:
             return False
         self.received.add(sender)
-        self._absorb(buffers)
         self.trace.extend(sub_trace)
         self.traffic.extend(sub_traffic)
         self._check_ready()
         return True
 
-    # -- streaming ------------------------------------------------------
     def set_row_len(self, row_len: int) -> None:
         """Learn (or validate) the per-row byte length for this repair."""
         if row_len < 1:
@@ -217,7 +210,9 @@ class _PartialTask:
 
         Segments XOR straight into this node's accumulation rows at
         ``[offset, offset + len)`` — the child's data is consumed as it
-        arrives and never buffered whole.
+        arrives and never buffered whole.  A segment that is a whole row
+        and that row's first contribution is adopted instead: a received
+        frame owns its writable buffers.
         """
         if sender not in self.request.children:
             raise StreamError(
@@ -239,6 +234,9 @@ class _PartialTask:
                 )
             buf = self.partial.get(row)
             if buf is None:
+                if segment.size == self.row_len:
+                    self.partial[row] = segment
+                    continue
                 buf = np.zeros(self.row_len, dtype=np.uint8)
                 self.partial[row] = buf
             view = buf[offset : offset + segment.size]
@@ -252,21 +250,6 @@ class _PartialTask:
         self.inputs_ready.set()
         for event in self.slice_events.values():
             event.set()
-
-
-@dataclass
-class _OrphanPartial:
-    """A partial that arrived before this server's plan command."""
-
-    sender: str
-    buffers: "Dict[int, np.ndarray]"
-    sub_trace: "List[trace.TraceRecord]"
-    sub_traffic: "List[trace.TrafficRecord]"
-    arrived: float
-    #: gid of the ingress network record inside ``sub_trace`` (None when
-    #: the sender was untraced); lets adoption splice the record into the
-    #: task's causal chain after the fact.
-    net_gid: "Optional[str]" = None
 
 
 class LiveChunkServer:
@@ -286,12 +269,8 @@ class LiveChunkServer:
         self.rpc = RpcServer(server_id, self.config)
         self.pool = RpcClientPool(self.config)
         self.tasks: "Dict[str, _PartialTask]" = {}
-        self._orphans: "Dict[str, List[_OrphanPartial]]" = {}
-        #: Inbound wire streams (sliced transfers) by stream id.
+        #: Inbound wire streams (one per child hop) by stream id.
         self.inbox = StreamInbox(self.config)
-        #: repair id -> event set when that repair's plan command lands;
-        #: STREAM_BEGINs that raced ahead of the plan wait on it.
-        self._plan_events: "Dict[str, asyncio.Event]" = {}
         #: Allocator for causal record ids ("<server>#<n>"); only consulted
         #: while a traced repair is in flight.
         self._gids = causal.GidAllocator(server_id)
@@ -431,7 +410,7 @@ class LiveChunkServer:
         register(MessageType.DROP_CHUNK, self._on_drop_chunk)
         register(MessageType.RAW_READ, self._on_raw_read)
         register(MessageType.PARTIAL_OP, self._on_partial_op)
-        register(MessageType.PARTIAL_RESULT, self._on_partial_result)
+        register(MessageType.REPAIR_RESULT, self._on_repair_result)
         register(MessageType.START_RAW_REPAIR, self._on_start_raw_repair)
         register(MessageType.REPAIR_ABORT, self._on_repair_abort)
         register(MessageType.STATS, self._on_stats)
@@ -473,6 +452,10 @@ class LiveChunkServer:
 
     async def _shutdown(self, abort: bool) -> None:
         self.alive = False
+        if abort:
+            # A crash stops answering at once: peers must not get a PING
+            # through while the background tasks below are reaped.
+            await self.rpc.close(abort=True)
         for attr in ("_heartbeat_task", "_telemetry_task", "_watchdog_task"):
             task = getattr(self, attr)
             if task is not None:
@@ -485,9 +468,7 @@ class LiveChunkServer:
         for task_state in self.tasks.values():
             task_state.abort()
         self.tasks.clear()
-        self._orphans.clear()
         self.inbox.close("server shutdown")
-        self._plan_events.clear()
         for task in list(self._background):
             task.cancel()
         for task in list(self._background):
@@ -496,7 +477,7 @@ class LiveChunkServer:
             except (asyncio.CancelledError, Exception):
                 pass
         self._background.clear()
-        await self.rpc.close(abort=abort)
+        await self.rpc.close()
         await self.pool.close()
 
     def _spawn(self, coro) -> None:
@@ -908,26 +889,14 @@ class LiveChunkServer:
             for sid, addr in dict(frame.payload.get("peers", {})).items()  # type: ignore[union-attr]
         }
         task = _PartialTask(request=request, peers=peers, ctx=causal.current())
-        if request.chunk_id is not None and request.num_slices > 1:
+        if request.chunk_id is not None:
             chunk = self._get_chunk(request.chunk_id)
             task.set_row_len(chunk.payload.size // max(request.rows, 1))
         self.tasks[request.repair_id] = task
-        self._adopt_orphans(task)
-        plan_event = self._plan_events.pop(request.repair_id, None)
-        if plan_event is not None:
-            plan_event.set()  # wake stream consumers that raced the plan
-
-        if request.chunk_id is not None:
-            self._spawn(self._compute_local_partial(task))
-
         if request.parent is None:
-            # Destination: the response to this RPC *is* the repair result,
-            # so the coordinator's await doubles as the completion wait.
-            return await self._finish_as_destination(task, frame)
-        if request.num_slices > 1:
-            self._spawn(self._run_helper_streaming(task))
-        else:
-            self._spawn(self._run_helper(task))
+            # Destination: REPAIR_RESULT collects the rebuilt chunk.
+            return {"accepted": request.repair_id, "role": "destination"}
+        self._spawn(self._stream_upstream(task))
         return {"accepted": request.repair_id, "role": "helper"}
 
     async def _compute_local_partial(self, task: _PartialTask) -> None:
@@ -999,52 +968,8 @@ class LiveChunkServer:
                 f"{self.config.partial_wait_timeout}s"
             )
 
-    async def _run_helper(self, task: _PartialTask) -> None:
-        """Aggregate the subtree, then forward the partial upstream."""
-        request = task.request
-        try:
-            await self._wait_for_inputs(task)
-        except (LiveRepairError, RepairAbortedError):
-            self.tasks.pop(request.repair_id, None)
-            return  # coordinator recovers via the destination's timeout
-        parent = request.parent
-        assert parent is not None
-        parent_addr = task.peers.get(parent)
-        self.tasks.pop(request.repair_id, None)
-        if parent_addr is None or not self.alive:
-            return
-        nbytes = trace.buffers_nbytes(task.partial)  # type: ignore[arg-type]
-        task.traffic.append(
-            trace.traffic_record(self.server_id, parent, nbytes)
-        )
-        await self._pace_repair(nbytes)
-        client = self.pool.get(parent_addr)
-        upstream: "Dict[str, object]" = {
-            "repair_id": request.repair_id,
-            "sender": self.server_id,
-            "trace": task.trace,
-            "traffic": task.traffic,
-            "sent_at": trace.now(),
-        }
-        if task.ctx is not None:
-            # The receiver's network record depends on everything this
-            # subtree folded into the outgoing partial.
-            upstream["sent_deps"] = list(task.state_deps)
-        try:
-            await client.call(
-                MessageType.PARTIAL_RESULT,
-                upstream,
-                buffers=task.partial,
-                timeout=self.config.rpc_timeout,
-            )
-        except RpcError:
-            # Parent is gone or wedged; the repair's destination timeout
-            # (or the coordinator's) triggers the replan. Nothing to do
-            # here — the partial dies with this attempt.
-            return
-
     # ------------------------------------------------------------------
-    # Streamed PPR: pipelined per-slice forwarding
+    # PPR: pipelined per-slice forwarding
     # ------------------------------------------------------------------
     async def _wait_slice(self, task: _PartialTask, index: int) -> None:
         """Wait until slice ``index`` is fully aggregated at this node."""
@@ -1059,13 +984,17 @@ class LiveChunkServer:
                 f"{self.config.partial_wait_timeout}s"
             )
 
-    async def _run_helper_streaming(self, task: _PartialTask) -> None:
-        """Forward the aggregate upstream as S pipelined slices.
+    async def _stream_upstream(self, task: _PartialTask) -> None:
+        """Compute the local partial, then forward the aggregate upstream
+        as S pipelined slices; children's segments merge on arrival
+        meanwhile.
 
-        Slice ``i`` leaves the moment the local partial and every child's
-        segment ``i`` are merged — while later slices are still in
-        flight below.  END goes out only after the whole subtree's END
-        trailers landed, because it carries the subtree's trace records.
+        BEGIN goes out once slice 0 is ready, so it always follows a
+        leaf's data and finds the parent's plan installed.  Slice ``i``
+        leaves the moment the local partial and every child's segment
+        ``i`` are merged — while later slices are still in flight below.
+        END goes out only after the whole subtree's END trailers landed,
+        because it carries the subtree's trace records.
         """
         request = task.request
         parent = request.parent
@@ -1079,18 +1008,21 @@ class LiveChunkServer:
             self.pool.get(parent_addr), stream_id, self.config
         )
         try:
-            bounds = slice_bounds(task.row_len, request.num_slices)
-            await sender.begin(
-                {
-                    "repair_id": request.repair_id,
-                    "sender": self.server_id,
-                    "num_slices": request.num_slices,
-                    "row_len": task.row_len,
-                    "sent_at": trace.now(),
-                }
-            )
+            if request.chunk_id is not None:
+                await self._compute_local_partial(task)
             for index in range(request.num_slices):
                 await self._wait_slice(task, index)
+                if index == 0:
+                    bounds = slice_bounds(task.row_len, request.num_slices)
+                    await sender.begin(
+                        {
+                            "repair_id": request.repair_id,
+                            "sender": self.server_id,
+                            "num_slices": request.num_slices,
+                            "row_len": task.row_len,
+                            "sent_at": trace.now(),
+                        }
+                    )
                 if index == self.stall_stream_at_slice:
                     # Test hook: wedge forever *between* slices.  The
                     # connection stays up and PING still answers — the
@@ -1124,7 +1056,13 @@ class LiveChunkServer:
             if task.ctx is not None:
                 trailer["sent_deps"] = list(task.state_deps)
             await sender.end(trailer)
-        except (LiveRepairError, RepairAbortedError, RpcError, StreamError) as exc:
+        except (
+            ChunkNotFoundError,
+            LiveRepairError,
+            RepairAbortedError,
+            RpcError,
+            StreamError,
+        ) as exc:
             # Tell the parent now so it can free stream state instead of
             # waiting out its own slice timeout; the coordinator replans.
             await sender.abort(str(exc))
@@ -1132,24 +1070,31 @@ class LiveChunkServer:
             self.tasks.pop(request.repair_id, None)
 
     # ------------------------------------------------------------------
-    # Streamed PPR: inbound stream handlers
+    # PPR: inbound stream handlers
     # ------------------------------------------------------------------
-    async def _on_stream_begin(self, frame: Frame) -> "Dict[str, object]":
-        """Open an inbound stream once its plan is known and its geometry
-        checked, so every DATA frame that follows finds its task."""
+    async def _on_stream_begin(self, frame: Frame) -> None:
+        """One-way: open an inbound stream and check its geometry against
+        the plan; a mismatch stays on the stream for the END ack.  With
+        no plan here the repair is stale (aborted, or never ours): BEGIN
+        is dropped and counted, so its DATA and END find no stream."""
         payload = frame.payload
-        task = await self._wait_for_plan(str(payload.get("repair_id", "")))
-        num_slices = int(payload.get("num_slices", 1))  # type: ignore[arg-type]
-        if num_slices != task.num_slices:
-            raise StreamError(
-                f"stream {payload['stream_id']} carries {num_slices} "
-                f"slices but the plan says {task.num_slices}"
-            )
-        task.set_row_len(int(payload.get("row_len", 0)))  # type: ignore[arg-type]
+        task = self.tasks.get(str(payload.get("repair_id", "")))
+        if task is None:
+            obs.registry().counter("live.stream.dropped_frames").inc()
+            return
         stream = self.inbox.open(str(payload["stream_id"]), payload)
         if stream.opened_at is None:
             stream.opened_at = trace.now()
-        return {"accepted": stream.stream_id}
+        num_slices = int(payload.get("num_slices", 1))  # type: ignore[arg-type]
+        try:
+            if num_slices != task.num_slices:
+                raise StreamError(
+                    f"stream {stream.stream_id} carries {num_slices} "
+                    f"slices but the plan says {task.num_slices}"
+                )
+            task.set_row_len(int(payload.get("row_len", 0)))  # type: ignore[arg-type]
+        except StreamError as exc:
+            stream.error = exc
 
     async def _on_stream_data(self, frame: Frame) -> None:
         """One-way: merge one segment on arrival; never suspends."""
@@ -1209,27 +1154,6 @@ class LiveChunkServer:
         if task is not None:
             task.abort()
 
-    async def _wait_for_plan(self, repair_id: str) -> _PartialTask:
-        """The repair task for ``repair_id``, waiting out plan races."""
-        task = self.tasks.get(repair_id)
-        if task is not None:
-            return task
-        event = self._plan_events.setdefault(repair_id, asyncio.Event())
-        try:
-            await asyncio.wait_for(
-                event.wait(), timeout=self.config.partial_wait_timeout
-            )
-        except asyncio.TimeoutError:
-            self._plan_events.pop(repair_id, None)
-            raise StreamError(
-                f"no plan command arrived for {repair_id} within "
-                f"{self.config.partial_wait_timeout}s"
-            ) from None
-        task = self.tasks.get(repair_id)
-        if task is None:
-            raise StreamError(f"repair {repair_id} vanished before its plan")
-        return task
-
     def _merge_stream_frame(
         self, task: _PartialTask, stream: InboundStream, frame: Frame
     ) -> None:
@@ -1279,8 +1203,9 @@ class LiveChunkServer:
         ]
         net_deps = list(sent_deps)
         if task.last_net_gid is not None:
-            # Same ingress-serialization edge as the unsliced path: the
-            # stream occupies this node's link as one logical transfer.
+            # Ingress serialization: arrivals share this node's link, so
+            # each transfer causally follows the previous one (this edge
+            # is what realizes Theorem 1's ceil(log2(k+1)) step count).
             net_deps.append(task.last_net_gid)
         net_gid, net_kw = self._causal_kw(task.ctx, net_deps)
         if net_gid is not None:
@@ -1308,144 +1233,39 @@ class LiveChunkServer:
         if net_gid is not None:
             task.last_net_gid = net_gid
             task.state_deps.append(net_gid)
-        task.add_remote(stream.sender, {}, sub_trace, sub_traffic)
-
-    # ------------------------------------------------------------------
-    # PPR: partial results from children
-    # ------------------------------------------------------------------
-    def _adopt_orphans(self, task: _PartialTask) -> None:
-        orphans = self._orphans.pop(task.request.repair_id, [])
-        for orphan in orphans:
-            if orphan.net_gid is not None:
-                # Splice the buffered ingress record into the task's
-                # causal chain as if it had just arrived: chain it on the
-                # previous arrival and make downstream state depend on it.
-                if task.last_net_gid is not None:
-                    for record in orphan.sub_trace:
-                        if record.get("gid") == orphan.net_gid:
-                            deps = record.setdefault("deps", [])
-                            if isinstance(deps, list):
-                                deps.append(task.last_net_gid)
-                            break
-                task.last_net_gid = orphan.net_gid
-                task.state_deps.append(orphan.net_gid)
-            task.add_remote(
-                orphan.sender,
-                orphan.buffers,
-                orphan.sub_trace,
-                orphan.sub_traffic,
-            )
-
-    def _gc_orphans(self) -> None:
-        horizon = trace.now() - 2 * self.config.partial_wait_timeout
-        for repair_id in list(self._orphans):
-            kept = [
-                o for o in self._orphans[repair_id] if o.arrived > horizon
-            ]
-            if kept:
-                self._orphans[repair_id] = kept
-            else:
-                del self._orphans[repair_id]
-
-    async def _on_partial_result(self, frame: Frame) -> "Dict[str, object]":
-        payload = frame.payload
-        repair_id = str(payload["repair_id"])
-        sender = str(payload["sender"])
-        sub_trace = list(payload.get("trace", []))  # type: ignore[arg-type]
-        sub_traffic = list(payload.get("traffic", []))  # type: ignore[arg-type]
-        sent_at = float(payload.get("sent_at", trace.now()))  # type: ignore[arg-type]
-        task = self.tasks.get(repair_id)
-        ctx = causal.current()
-        sent_deps = [
-            d for d in payload.get("sent_deps", []) if isinstance(d, str)  # type: ignore[union-attr]
-        ]
-        net_deps = list(sent_deps)
-        if task is not None and task.last_net_gid is not None:
-            # Ingress serialization: arrivals share this node's link, so
-            # each transfer causally follows the previous one (this edge
-            # is what realizes Theorem 1's ceil(log2(k+1)) step count).
-            net_deps.append(task.last_net_gid)
-        net_gid, net_kw = self._causal_kw(ctx, net_deps)
-        if net_gid is not None:
-            # Raw sender clock: clip() below destroys the send/recv pair
-            # that clock-offset estimation needs.
-            net_kw["sent_at"] = sent_at
-        start, end = trace.clip_interval(sent_at, trace.now())
-        sub_trace.append(
-            self._account(
-                trace.phase_record(
-                    "network",
-                    start,
-                    end,
-                    self.server_id,
-                    nbytes=trace.buffers_nbytes(frame.buffers),  # type: ignore[arg-type]
-                    src=sender,
-                    **net_kw,  # type: ignore[arg-type]
-                )
-            )
-        )
-        if task is not None and net_gid is not None:
-            task.last_net_gid = net_gid
-        if task is None:
-            self._gc_orphans()
-            self._orphans.setdefault(repair_id, []).append(
-                _OrphanPartial(
-                    sender=sender,
-                    buffers=frame.buffers,
-                    sub_trace=sub_trace,
-                    sub_traffic=sub_traffic,
-                    arrived=trace.now(),
-                    net_gid=net_gid,
-                )
-            )
-            return {"merged": False, "buffered": True}
-        merge_start = trace.now()
-        merged = task.add_remote(
-            sender, frame.buffers, sub_trace, sub_traffic
-        )
-        if merged:
-            merge_deps = ([net_gid] if net_gid else []) + task.state_deps
-            merge_gid, merge_kw = self._causal_kw(task.ctx, merge_deps)
-            task.trace.append(
-                self._account(
-                    trace.phase_record(
-                        "compute",
-                        merge_start,
-                        trace.now(),
-                        self.server_id,
-                        **merge_kw,  # type: ignore[arg-type]
-                    )
-                )
-            )
-            if merge_gid is not None:
-                task.state_deps = [merge_gid]
-        return {"merged": merged, "buffered": False}
+        task.add_remote(stream.sender, sub_trace, sub_traffic)
 
     # ------------------------------------------------------------------
     # PPR: destination role
     # ------------------------------------------------------------------
-    async def _finish_as_destination(
-        self, task: _PartialTask, frame: Frame
+    async def _on_repair_result(
+        self, frame: Frame
     ) -> "Tuple[Dict[str, object], Dict[int, np.ndarray]]":
+        """The completion call: answered once this destination has
+        assembled and committed the rebuilt chunk, with the chunk and the
+        repair's trace/traffic records."""
+        repair_id = str(frame.payload["repair_id"])
+        task = self.tasks.get(repair_id)
+        if task is None or task.request.parent is not None:
+            raise LiveRepairError(
+                f"{self.server_id} is not the destination of {repair_id}"
+            )
         request = task.request
         try:
             await self._wait_for_inputs(task)
         finally:
-            self.tasks.pop(request.repair_id, None)
+            self.tasks.pop(repair_id, None)
         assemble_start = trace.now()
-        row_len = -1
-        for buf in task.partial.values():
-            row_len = buf.size
-            break
-        if row_len <= 0:
+        if not task.partial:
             raise LiveRepairError(
                 f"destination {self.server_id} holds no partial rows for "
-                f"{request.repair_id}"
+                f"{repair_id}"
             )
         if request.rows == 1 and 0 in task.partial:
             # The one aggregated row is the chunk; the task owns it.
             chunk_payload = task.partial[0]
         else:
+            row_len = task.row_len
             chunk_payload = np.zeros(request.rows * row_len, dtype=np.uint8)
             view = chunk_payload.reshape(request.rows, row_len)
             for row, buf in task.partial.items():
@@ -1672,9 +1492,14 @@ class LiveChunkServer:
     # ------------------------------------------------------------------
     async def _on_repair_abort(self, frame: Frame) -> "Dict[str, object]":
         repair_id = str(frame.payload["repair_id"])
+        if self.config.stream_stall_deadline > 0:
+            # A stall already past its deadline is diagnosed before the
+            # sweep below erases it: a stalled chain's receivers all pass
+            # the deadline together, and whichever watchdog ticks first
+            # must not hide the others from the coordinator's blame round.
+            self._run_doctor(trace.now())
         task = self.tasks.pop(repair_id, None)
         if task is not None:
             task.abort()
-        self._orphans.pop(repair_id, None)
         self.inbox.abort_repair(repair_id, "repair aborted by coordinator")
         return {"aborted": task is not None}

@@ -8,7 +8,9 @@ same :func:`repro.core.coordinator.build_partial_requests` plan commands.
 Only the transport differs: commands go out as
 :data:`~repro.live.wire.MessageType.PARTIAL_OP` /
 :data:`~repro.live.wire.MessageType.START_RAW_REPAIR` RPCs, and the
-destination's deferred response carries the rebuilt chunk back.
+destination's answer to the completion call
+(:data:`~repro.live.wire.MessageType.REPAIR_RESULT`, or the deferred
+``START_RAW_REPAIR`` response) carries the rebuilt chunk back.
 
 Failure handling is an *attempt loop* (bounded by
 ``LiveConfig.max_attempts``): when an attempt dies — a peer unreachable,
@@ -213,9 +215,10 @@ class LiveCoordinator:
         ``lost_index`` defaults to the first chunk with no live host.
         ``on_attempt`` (sync or async) observes each attempt before its
         plan commands go out — the failure tests use it to kill servers
-        at deterministic points.  ``num_slices > 1`` runs ppr/chain
-        repairs as pipelined sliced streams (wire v3, docs/PIPELINING.md);
-        star/staggered move whole rows regardless and ignore it.
+        at deterministic points.  Every ppr/chain hop is a stream of
+        ``num_slices`` pipelined slices (one slice moves whole rows;
+        docs/PIPELINING.md); star/staggered move whole rows regardless
+        and ignore it.
         """
         if num_slices < 1:
             raise LiveRepairError(f"num_slices must be >= 1, got {num_slices}")
@@ -610,7 +613,7 @@ class LiveCoordinator:
         return candidates[0], servers[candidates[0]]
 
     # ------------------------------------------------------------------
-    # PPR / chain: plan commands out, deferred destination response back
+    # PPR / chain: plan commands out, non-leaves first; completion call back
     # ------------------------------------------------------------------
     async def _run_partial_attempt(
         self,
@@ -637,24 +640,6 @@ class LiveCoordinator:
         )
         peers = {sid: list(addr.to_wire()) for sid, addr in addresses.items()}
 
-        dest_payload: "Dict[str, object]" = {
-            "request": requests[DESTINATION].to_wire(),
-            "peers": peers,
-            "lost_chunk_id": view.chunk_ids[lost_index],
-            "lost_index": lost_index,
-        }
-        dest_client = self.pool.get(addresses[dest_id])
-        # The destination answers its PARTIAL_OP only when the repair
-        # completes, so this call *is* the completion wait.
-        dest_task = asyncio.create_task(
-            dest_client.call(
-                MessageType.PARTIAL_OP,
-                dest_payload,
-                timeout=self.config.repair_timeout,
-                retries=0,
-            )
-        )
-
         async def send_plan(plan_node: int) -> None:
             server_id = self._node_server(plan_node, helper_servers, dest_id)
             client = self.pool.get(addresses[server_id])
@@ -667,22 +652,27 @@ class LiveCoordinator:
             except RpcError as exc:
                 raise _AttemptFailed(exc, {server_id}) from exc
 
+        # Every stream frame a node receives follows data that started at
+        # a leaf, so once every non-leaf (the destination included) holds
+        # its plan, no stream can reach a node before its plan does.
+        leaves = [n for n in plan.participants if not plan.children_of(n)]
+        await asyncio.gather(
+            *(send_plan(n) for n in plan.participants if n not in leaves)
+        )
+        await asyncio.gather(*(send_plan(n) for n in leaves))
+        # The destination keeps the finished repair until this call
+        # collects it, so the call may land before or after completion.
         try:
-            await asyncio.gather(
-                *(
-                    send_plan(node)
-                    for node in plan.participants
-                    if node != DESTINATION
-                )
+            response = await self.pool.get(addresses[dest_id]).call(
+                MessageType.REPAIR_RESULT,
+                {
+                    "repair_id": repair_id,
+                    "lost_chunk_id": view.chunk_ids[lost_index],
+                    "lost_index": lost_index,
+                },
+                timeout=self.config.repair_timeout,
+                retries=0,
             )
-            response = await dest_task
-        except _AttemptFailed:
-            dest_task.cancel()
-            try:
-                await dest_task
-            except (asyncio.CancelledError, RpcError):
-                pass
-            raise
         except RpcError as exc:
             # A remote *error response* proves the destination is alive
             # (it reported missing partials); only an unresponsive

@@ -21,11 +21,11 @@ back to back with no ``await`` (hence no write lock); ``drain()`` returns
 at once unless the transport is over its high-water mark, then waits for
 ``resume_writing`` — the peer reading again — or the connection's death.
 
-Streaming (wire protocol v3): :class:`StreamSender` drives one outbound
-BEGIN / DATA* / END sequence — BEGIN and END are calls, every DATA a
-one-way send on the connection BEGIN was acknowledged on, so all DATA is
-handled before END's handler runs.  Backpressure is TCP's: a receiver
-that stops reading leaves the sender waiting in ``drain()``.
+Streaming (wire protocol v4): :class:`StreamSender` drives one outbound
+BEGIN / DATA* / END sequence — BEGIN and every DATA are one-way sends,
+END a call, all on the connection BEGIN went out on, so BEGIN and all
+DATA are handled before END's handler runs.  Backpressure is TCP's: a
+receiver that stops reading leaves the sender waiting in ``drain()``.
 :class:`StreamInbox` holds each inbound stream's state.
 """
 
@@ -574,14 +574,14 @@ class RpcServer:
 
 
 # ----------------------------------------------------------------------
-# Streaming (wire v3): one-way DATA on a pinned connection, inbound state
+# Streaming (wire v4): one-way BEGIN and DATA on a pinned connection
 # ----------------------------------------------------------------------
 class StreamSender:
     """Sender half of one wire stream over an :class:`RpcClient`.
 
     Lifecycle is strict — ``begin()``, any number of ``data()`` calls,
     then ``end()`` (docs/PROTOCOL.md, stream state machine).  DATA and END
-    must use the connection BEGIN was acknowledged on: once the client's
+    must use the connection BEGIN went out on: once the client's
     connection is another one, a segment may have died with the old one,
     so the stream is poisoned — that error, like a failed send, raises on
     this and every later call.
@@ -619,23 +619,23 @@ class StreamSender:
             )
             raise self._error
 
-    async def begin(self, payload: "Dict[str, object]") -> Frame:
-        """Open the stream; the ack means the receiver allocated for it."""
+    async def begin(self, payload: "Dict[str, object]") -> None:
+        """Open the stream with a one-way BEGIN and pin its connection.
+        Nothing answers it: a receiver that cannot open the stream says
+        so in the END ack."""
         self._check_open()
         if self._begun:
             raise StreamError(f"stream {self.stream_id} already begun")
         self._begun = True
         try:
-            response = await self.client.call(
+            await self.client.send(
                 MessageType.STREAM_BEGIN,
                 {**payload, "stream_id": self.stream_id},
-                timeout=self.config.rpc_timeout,
             )
         except RpcError as exc:
             self._error = exc
             raise
         self._connection = self.client._connection
-        return response
 
     async def data(
         self,
@@ -668,10 +668,13 @@ class StreamSender:
         )
 
     async def abort(self, reason: str) -> None:
-        """Best-effort ABORT so the receiver can free stream state now."""
+        """Best-effort ABORT so the receiver can free stream state now;
+        a stream that never began has nothing to free."""
         if self._closed:
             return
         self._closed = True
+        if not self._begun:
+            return
         try:
             await self.client.call(
                 MessageType.STREAM_ABORT,

@@ -1,10 +1,10 @@
-"""Length-prefixed framed wire format of the live deployment (v3).
+"""Length-prefixed framed wire format of the live deployment (v4).
 
 One frame is::
 
     offset  size  field
     0       2     magic ``b"PP"``
-    2       1     protocol version (3; nothing older is accepted)
+    2       1     protocol version (4; nothing older is accepted)
     3       1     message type (:class:`MessageType`)
     4       1     flags (bit 0 = response, bit 1 = error)
     5       4     request id (big-endian; response echoes the request's;
@@ -30,14 +30,16 @@ trace context (``{"trace_id": ..., "span_id": ...}``, see
 :mod:`repro.obs.causal`) of the caller.  It is stripped from the payload on
 decode and attached to requests only when a repair is being traced.
 
-The *stream plane* moves a sliced bulk transfer as a ``STREAM_BEGIN`` /
+The *stream plane* moves every PPR hop as a ``STREAM_BEGIN`` /
 ``STREAM_DATA``* / ``STREAM_END`` sub-frame sequence (``STREAM_ABORT`` for
 early teardown), so one logical transfer pipelines across hops without
-any single frame holding the whole chunk.  BEGIN, END and ABORT are
-acknowledged calls; since version 3 every ``STREAM_DATA`` is a one-way
-frame (request id 0) that TCP alone flow-controls.  The layout is the
-v2 layout, but a v2 sender would wait forever for DATA acks, so readers
-accept version 3 only.  The normative spec is ``docs/PROTOCOL.md``.
+any single frame holding the whole chunk; an unsliced hop is the
+one-slice stream.  BEGIN and DATA are one-way frames (request id 0) that
+TCP alone flow-controls; END and ABORT are acknowledged calls.  The
+layout is the v2/v3 layout, but a v3 sender would wait forever for a
+BEGIN ack and v3 peers still send whole-row results outside any stream,
+so readers accept version 4 only.  The normative spec is
+``docs/PROTOCOL.md``.
 
 Senders should prefer :func:`write_frame` (or :func:`frame_parts`) over
 :func:`encode_frame`: each buffer's ``memoryview`` goes to the transport
@@ -64,11 +66,11 @@ from repro.errors import ReproError, WireFormatError
 
 MAGIC = b"PP"
 #: Version stamped on every emitted frame.
-VERSION = 3
-#: Versions :class:`FrameParser` accepts.  v1/v2 peers expect every
-#: STREAM_DATA to be answered, so they are refused at the first header
-#: rather than left to hang.
-SUPPORTED_VERSIONS = (3,)
+VERSION = 4
+#: Versions :class:`FrameParser` accepts.  Older peers expect acks for
+#: STREAM_BEGIN (v3) or STREAM_DATA (v1/v2), so they are refused at the
+#: first header rather than left to hang.
+SUPPORTED_VERSIONS = (4,)
 
 #: Frame header: magic, version, type, flags, request id, body length.
 HEADER = struct.Struct("!2sBBBII")
@@ -95,10 +97,12 @@ class MessageType(enum.IntEnum):
     LIST_SERVERS = 23
     # Repair plane
     PARTIAL_OP = 30
-    PARTIAL_RESULT = 31
     RAW_READ = 32
     START_RAW_REPAIR = 33
     REPAIR_ABORT = 34
+    #: Coordinator -> PPR destination: answered with the rebuilt chunk
+    #: once it is committed.
+    REPAIR_RESULT = 35
     # Telemetry plane
     STATS = 40
     HEALTH = 41
@@ -109,8 +113,8 @@ class MessageType(enum.IntEnum):
     #: Cockpit pull: one RPC answering query/fleet/top/prom/stats
     #: against the collector's tiered retention.
     COLLECTOR_QUERY = 44
-    # Stream plane: sliced bulk transfer as BEGIN / DATA* / END (DATA
-    # is one-way)
+    # Stream plane: every PPR hop as BEGIN / DATA* / END (BEGIN and
+    # DATA are one-way)
     STREAM_BEGIN = 50
     STREAM_DATA = 51
     STREAM_END = 52
@@ -233,15 +237,23 @@ def decode_body(mtype: int, flags: int, request_id: int, body: bytes) -> Frame:
         raise WireFormatError(f"bad JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise WireFormatError("JSON header must be an object")
+    index = header.pop("__buffers__", [])
+    if not isinstance(index, list):
+        raise WireFormatError("buffer index must be a list")
     buffers: "Dict[int, np.ndarray]" = {}
     offset = 4 + json_len
-    for key, length in header.pop("__buffers__", []):
-        if offset + length > len(body):
+    for entry in index:
+        try:
+            key, length = entry
+            key, length = int(key), int(length)
+        except (TypeError, ValueError) as exc:
+            raise WireFormatError(f"bad buffer index entry {entry!r}") from exc
+        if length < 0 or offset + length > len(body):
             raise WireFormatError("buffer index overruns frame body")
-        buffers[int(key)] = np.frombuffer(
-            body, dtype=np.uint8, count=int(length), offset=offset
+        buffers[key] = np.frombuffer(
+            body, dtype=np.uint8, count=length, offset=offset
         )
-        offset += int(length)
+        offset += length
     if offset != len(body):
         raise WireFormatError(
             f"{len(body) - offset} trailing bytes after declared buffers"

@@ -173,6 +173,77 @@ class TestRequestTimeouts:
 
         asyncio.run(scenario())
 
+    def test_stalled_interior_plan_install_replans_before_any_leaf(self):
+        """Plans go to non-leaves first: an interior helper that never
+        acks its PARTIAL_OP fails the attempt, as the suspect, before any
+        leaf has a plan — and the replan still rebuilds identical bytes
+        with no task or stream left behind anywhere."""
+
+        async def scenario():
+            config = fast_config()
+            async with LiveCluster(
+                num_servers=10, config=config, payload_bytes=1152
+            ) as cluster:
+                stripe = await cluster.write_stripe("rs(6,3)")
+                lost = 0
+                truth = cluster.truth_payload(stripe.chunk_ids[lost])
+                await cluster.kill_server(stripe.hosts[lost])
+                installs: "list[tuple[str, str]]" = []
+                for server in cluster.servers.values():
+                    if not server.alive:
+                        continue
+                    handler = server.rpc._handlers[MessageType.PARTIAL_OP]
+
+                    async def observed(frame, server=server, handler=handler):
+                        repair_id = str(frame.payload["request"]["repair_id"])
+                        installs.append((server.server_id, repair_id))
+                        return await handler(frame)
+
+                    server.rpc.register(MessageType.PARTIAL_OP, observed)
+                first: "list[LiveAttempt]" = []
+                stalled: "list[str]" = []
+
+                def on_attempt(info: LiveAttempt) -> None:
+                    if info.attempt != 1:
+                        return
+                    first.append(info)
+                    victim = next(
+                        a for a in info.aggregators if a != info.destination
+                    )
+                    cluster.server(victim).stall_types.add(
+                        MessageType.PARTIAL_OP
+                    )
+                    stalled.append(victim)
+
+                report = await cluster.repair(
+                    stripe.stripe_id,
+                    lost_index=lost,
+                    strategy="ppr",
+                    on_attempt=on_attempt,
+                )
+                (info,) = first
+                leaves = set(info.helper_servers.values()) - set(
+                    info.aggregators
+                )
+                assert leaves
+                assert not [
+                    sid
+                    for sid, repair_id in installs
+                    if repair_id == info.repair_id and sid in leaves
+                ], "a leaf got its plan before every non-leaf acked"
+                assert report.attempts == 2
+                assert report.excluded == set(stalled)
+                assert report.result.verified
+                assert np.array_equal(report.payload, truth)
+
+                await asyncio.sleep(0.2)  # late REPAIR_ABORT acks
+                for server in cluster.servers.values():
+                    if server.alive:
+                        assert not server.tasks, server.server_id
+                        assert len(server.inbox) == 0, server.server_id
+
+        asyncio.run(scenario())
+
     def test_exhausted_attempts_fail_typed_and_bounded(self):
         """Every destination wedged: typed error inside the time budget."""
 

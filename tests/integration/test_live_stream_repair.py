@@ -181,6 +181,7 @@ class TestStreamFailureRecovery:
                 await cluster.kill_server(stripe.hosts[lost])
 
                 killed = []
+                kills: "list[asyncio.Task[object]]" = []
 
                 def on_attempt(info: LiveAttempt) -> None:
                     if info.attempt != 1:
@@ -190,18 +191,23 @@ class TestStreamFailureRecovery:
                         for a in info.aggregators
                         if a != info.destination
                     )
-                    killed.append(victim)
+                    server = cluster.server(victim)
+                    pace = server._pace_repair
 
-                    async def assassin() -> None:
-                        server = cluster.server(victim)
-                        # Wait until the victim is mid-repair — its
-                        # stream to the parent is open (compute_delay
-                        # holds the pipeline at the first slice).
-                        while not server.tasks:
-                            await asyncio.sleep(0.01)
-                        await cluster.kill_server(victim)
+                    async def pace_then_die(nbytes: float) -> None:
+                        # Paced before every DATA: the second call comes
+                        # once BEGIN and DATA 0 are out, so the victim
+                        # crashes with its stream to the parent open.
+                        if not killed:
+                            killed.append(victim)
+                            await pace(nbytes)
+                            return
+                        kills.append(
+                            asyncio.ensure_future(cluster.kill_server(victim))
+                        )
+                        await asyncio.Event().wait()  # until the crash
 
-                    asyncio.create_task(assassin())
+                    server._pace_repair = pace_then_die
 
                 report = await cluster.repair(
                     stripe.stripe_id,
@@ -210,7 +216,8 @@ class TestStreamFailureRecovery:
                     on_attempt=on_attempt,
                     num_slices=8,
                 )
-                assert killed, "no aggregator was killed"
+                assert kills, "no aggregator was killed mid-stream"
+                await asyncio.gather(*kills)
                 assert report.attempts == 2
                 assert killed[0] in report.excluded
                 assert report.result.verified
@@ -251,32 +258,36 @@ class TestStreamFailureRecovery:
                 lost = 0
                 truth = cluster.truth_payload(stripe.chunk_ids[lost])
                 await cluster.kill_server(stripe.hosts[lost])
-                cuts: "list[asyncio.Task[str]]" = []
+                cuts: "list[str]" = []
 
-                async def cut(info: LiveAttempt, victim: str) -> str:
+                def cut_before_second_slice(info: LiveAttempt, victim: str):
+                    """Wrap the victim's per-slice pacer (awaited before
+                    every DATA) so the connection to its parent dies just
+                    before DATA 1: BEGIN and DATA 0 went out on it, the
+                    rest of the stream has not."""
                     server = cluster.server(victim)
-                    while info.repair_id not in server.tasks:
-                        await asyncio.sleep(0.005)
-                    task = server.tasks[info.repair_id]
-                    parent = cluster.server(task.request.parent)
-                    client = server.pool.get(task.peers[task.request.parent])
-                    stream_id = f"{info.repair_id}/{victim}"
-                    # BEGIN's ack is back at the victim (a cut before it
-                    # would only make the BEGIN call retry), and
-                    # compute_delay still holds slice 0 back.
-                    while client._pending or stream_id not in {
-                        s.stream_id for s in parent.inbox.streams()
-                    }:
-                        await asyncio.sleep(0.005)
-                    client._connection.close(abort=True)
-                    return victim
+                    pace = server._pace_repair
+                    paced: "list[float]" = []
+
+                    async def pace_then_cut(nbytes: float) -> None:
+                        if len(paced) == 1:
+                            task = server.tasks[info.repair_id]
+                            client = server.pool.get(
+                                task.peers[task.request.parent]
+                            )
+                            client._connection.close(abort=True)
+                            cuts.append(victim)
+                        paced.append(nbytes)
+                        await pace(nbytes)
+
+                    server._pace_repair = pace_then_cut
 
                 def on_attempt(info: LiveAttempt) -> None:
                     if info.attempt == 1:
                         victim = next(
                             a for a in info.aggregators if a != info.destination
                         )
-                        cuts.append(asyncio.create_task(cut(info, victim)))
+                        cut_before_second_slice(info, victim)
 
                 report = await cluster.repair(
                     stripe.stripe_id,
@@ -285,7 +296,7 @@ class TestStreamFailureRecovery:
                     on_attempt=on_attempt,
                     num_slices=8,
                 )
-                assert [await c for c in cuts]
+                assert cuts
                 assert report.attempts == 2
                 assert not report.excluded  # everyone answered: no culprit
                 assert report.result.verified

@@ -5,7 +5,8 @@ included — and several streams interleaved on one connection in any
 order: every one-way ``STREAM_DATA`` is merged before its ``STREAM_END``
 is acknowledged, and the aggregate is byte-identical to XOR-ing the
 children's whole rows.  Without acks, END is also the only place a lost
-segment can show, so an END whose stream skipped a slice must fail.
+segment or a planless one-way ``STREAM_BEGIN`` can show, so an END whose
+stream skipped a slice, or whose repair has no plan here, must fail.
 """
 
 import asyncio
@@ -175,3 +176,39 @@ class TestEndChecksCompleteness:
         )
         assert pong["server_id"] == "cs-dst"  # the connection survived
         assert dropped.value - before == 3
+
+
+class TestPlanlessBegin:
+    @given(st.integers(1, 12), st.integers(1, 3000))
+    @settings(max_examples=20, deadline=None)
+    def test_begin_without_a_plan_is_dropped_and_end_fails(
+        self, num_slices, row_len
+    ):
+        """BEGIN for a repair with no plan here (r2; only r1 is planned)
+        is dropped and counted, so are its DATA frames, END fails, and no
+        stream is left behind; r1's aggregation state is untouched."""
+        dropped = obs.registry().counter("live.stream.dropped_frames")
+        before = dropped.value
+        task = make_task(["cs-01"], 1, row_len, num_slices)
+        bounds = slice_bounds(row_len, num_slices)
+
+        async def scenario(client):
+            sender = StreamSender(client, "r2/cs-01", CONFIG)
+            await sender.begin(
+                {**begin_payload("cs-01", task), "repair_id": "r2"}
+            )
+            for i in range(num_slices):
+                await sender.data(
+                    {"slice_index": i, "offset": bounds[i]},
+                    {0: np.ones(bounds[i + 1] - bounds[i], np.uint8)},
+                )
+            with pytest.raises(RpcRemoteError) as err:
+                await sender.end({"trace": [], "traffic": []})
+            assert not task.aborted  # read before shutdown aborts it
+            return err.value
+
+        error, open_streams = asyncio.run(with_server(scenario, task))
+        assert error.code == "StreamError"
+        assert dropped.value - before == 1 + num_slices
+        assert open_streams == 0
+        assert not task.slice_got and not task.partial

@@ -14,6 +14,7 @@ from repro.errors import (
     RpcRemoteError,
     RpcTimeoutError,
 )
+from repro.live.chunkserver import LiveChunkServer
 from repro.live.config import LiveConfig
 from repro.live.rpc import (
     Address,
@@ -514,3 +515,42 @@ class TestRpcClientPool:
         a = Address("127.0.0.1", 4600)
         assert Address.from_wire(a.to_wire()) == a
         assert str(a) == "127.0.0.1:4600"
+
+
+class TestChunkServerKill:
+    def test_killed_server_stops_answering_before_tasks_are_reaped(self):
+        """``kill()`` is a crash: a PING sent once it has started fails —
+        over the open connection and on a fresh dial — even while a
+        background task is still slow to exit."""
+
+        async def scenario():
+            server = LiveChunkServer("cs-00", None, CONFIG)
+            client = RpcClient(await server.start(), CONFIG)
+            released = asyncio.Event()
+
+            async def slow_to_exit() -> None:
+                try:
+                    await asyncio.Event().wait()
+                except asyncio.CancelledError:
+                    await released.wait()  # holds kill() in its reaping
+                    raise
+
+            server._spawn(slow_to_exit())
+            await asyncio.sleep(0)
+            try:
+                await client.call(MessageType.PING, {}, retries=0)
+                killing = asyncio.ensure_future(server.kill())
+                await asyncio.sleep(0.05)
+                assert not killing.done()  # still reaping the slow task
+                with pytest.raises(RpcConnectionError):
+                    await client.call(MessageType.PING, {}, retries=0)
+                fresh = RpcClient(server.address, CONFIG)
+                with pytest.raises(RpcConnectionError):
+                    await fresh.call(MessageType.PING, {}, retries=0)
+                await fresh.close()
+            finally:
+                released.set()
+                await killing
+                await client.close()
+
+        run(scenario())

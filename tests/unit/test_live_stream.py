@@ -1,7 +1,7 @@
-"""Wire v3 stream plane: framing, one-way DATA, pinned sender, slices.
+"""Wire v4 stream plane: framing, one-way BEGIN/DATA, pinned sender, slices.
 
 Covers the protocol-level edge cases the spec (docs/PROTOCOL.md) calls
-out: golden-bytes pinning of the v3 encoding, version acceptance,
+out: golden-bytes pinning of the v4 encoding, version acceptance,
 out-of-order and duplicate slice segments, truncated streams (peer death
 mid-transfer), a connection change mid-stream, abort semantics, TCP
 backpressure, and in-place aggregation.
@@ -69,12 +69,12 @@ def parse_one(raw: bytes) -> Frame:
 # Encoding: golden bytes, version negotiation, zero-copy parts
 # ----------------------------------------------------------------------
 class TestWireV2Encoding:
-    #: Hand-checkable v3 STREAM_DATA frame: magic "PP", version 3,
+    #: Hand-checkable v4 STREAM_DATA frame: magic "PP", version 4,
     #: mtype 51, flags 0, request_id 0 (one-way), then 4-byte JSON
     #: length, the header JSON (payload keys in insertion order,
     #: ``__buffers__`` appended last) and the raw segment bytes 00 01 02 03.
     GOLDEN_HEX = (
-        "50500333000000000000000052000000"
+        "50500433000000000000000052000000"
         "4a7b2273747265616d5f6964223a2272312f63732d3030222c22736c696365"
         "5f696e646578223a332c226f6666736574223a31362c225f5f627566666572"
         "735f5f223a5b5b322c345d5d7d00010203"
@@ -93,7 +93,7 @@ class TestWireV2Encoding:
         )
 
     def test_golden_bytes(self):
-        """The v3 encoding is pinned byte-for-byte.
+        """The v4 encoding is pinned byte-for-byte.
 
         If this fails you changed the wire format: bump VERSION and
         update docs/PROTOCOL.md (including its worked hexdump).
@@ -117,20 +117,21 @@ class TestWireV2Encoding:
         frame = parse_one(bytes(raw))
         assert frame.payload["stream_id"] == "r1/cs-00"
 
-    #: 1 and 2 are retired: their senders wait for DATA acks v3 never
-    #: sends, so they are refused at the header instead of left to hang.
-    @pytest.mark.parametrize("version", [0, 1, 2, 9, 255])
+    #: 1-3 are retired: their senders wait for DATA (v1/v2) or BEGIN (v3)
+    #: acks v4 never sends, so they are refused at the header instead of
+    #: left to hang.
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 9, 255])
     def test_reader_rejects_unknown_versions(self, version):
         raw = bytearray(encode_frame(self.golden_frame()))
         raw[2] = version
         with pytest.raises(WireFormatError, match="version"):
             parse_one(bytes(raw))
 
-    def test_writer_emits_version_3(self):
+    def test_writer_emits_version_4(self):
         raw = encode_frame(self.golden_frame())
         _, version, _, _, _, _ = HEADER.unpack(raw[: HEADER.size])
-        assert version == VERSION == 3
-        assert SUPPORTED_VERSIONS == (3,)
+        assert version == VERSION == 4
+        assert SUPPORTED_VERSIONS == (4,)
 
     def test_frame_parts_are_zero_copy(self):
         """Buffer parts alias the source arrays — no serialization copy."""
@@ -261,21 +262,43 @@ class TestSliceAggregation:
         assert not task.slice_event(1).is_set()
 
     def test_whole_partials_aggregate_in_place(self):
-        """The local partial is adopted, not copied, and later
-        contributions XOR into that very array."""
+        """One-slice streams keep whole rows in place: a row's first
+        contribution — the local partial, or a segment covering the
+        whole row — is adopted, not copied, and later contributions XOR
+        into that very array."""
         rng = np.random.default_rng(9)
-        local = {r: rng.integers(0, 256, 16, np.uint8) for r in (0, 1)}
-        remote = {r: rng.integers(0, 256, 16, np.uint8) for r in (0, 1)}
-        expected = RepairRecipe.merge_partials(local, remote)
-        held = dict(local)
-        task = make_task(children=("cs-01",), num_slices=1, chunk_id="c0")
-        task.add_local(local)
+        local = {0: rng.integers(0, 256, 16, np.uint8)}
+        first = {1: rng.integers(0, 256, 16, np.uint8)}
+        later = {r: rng.integers(0, 256, 16, np.uint8) for r in (0, 1)}
+        expected = RepairRecipe.merge_partials(
+            RepairRecipe.merge_partials(local, first), later
+        )
+        held = {0: local[0], 1: first[1]}
+        task = make_task(
+            children=("cs-01", "cs-02"), num_slices=1, chunk_id="c0"
+        )
+        task.add_local(dict(local))
+        assert task.merge_segment("cs-01", 0, 0, dict(first))
         assert all(task.partial[r] is held[r] for r in (0, 1))
-        assert task.add_remote("cs-01", remote, [], [])
+        assert task.merge_segment("cs-02", 0, 0, dict(later))
         assert all(task.partial[r] is held[r] for r in (0, 1))
         for r in (0, 1):
             assert np.array_equal(task.partial[r], expected[r])
+        assert task.slice_event(0).is_set()
+        assert task.add_remote("cs-01", [], [])
+        assert task.add_remote("cs-02", [], [])
+        assert not task.add_remote("cs-02", [], [])  # duplicate END
         assert task.inputs_ready.is_set()
+
+    def test_partial_segment_is_not_adopted(self):
+        """A segment short of a whole row lands in a fresh zeroed row:
+        the sender's buffer is never aliased."""
+        task = make_task(children=("cs-01",), num_slices=2)
+        seg = np.arange(8, dtype=np.uint8)
+        assert task.merge_segment("cs-01", 0, 0, {0: seg})
+        assert task.partial[0] is not seg
+        assert np.array_equal(task.partial[0][:8], seg)
+        assert not task.partial[0][8:].any()
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +310,11 @@ async def stream_server(config=CONFIG):
     server = RpcServer("sink", config)
     inbox = StreamInbox(config)
     server.trailers = {}
+    server.begin_request_ids = []
 
-    async def on_begin(frame: Frame):
+    async def on_begin(frame: Frame):  # one-way: must not suspend
+        server.begin_request_ids.append(frame.request_id)
         inbox.open(str(frame.payload["stream_id"]), frame.payload)
-        return {"accepted": True}
 
     async def on_data(frame: Frame):  # one-way: must not suspend
         try:
@@ -321,6 +345,17 @@ async def stream_server(config=CONFIG):
     return server, inbox
 
 
+async def opened(inbox: StreamInbox, stream_id: str):
+    """The inbound stream once the receiver has handled its one-way BEGIN
+    (nothing answers BEGIN, so a test polls for its effect)."""
+    for _ in range(200):
+        try:
+            return inbox.get(stream_id)
+        except StreamError:
+            await asyncio.sleep(0.005)
+    raise AssertionError(f"BEGIN for {stream_id} never arrived")
+
+
 class TestStreamTransport:
     def test_begin_data_end_roundtrip(self):
         async def scenario():
@@ -328,8 +363,10 @@ class TestStreamTransport:
             client = RpcClient(server.address, CONFIG)
             sender = StreamSender(client, "r1/cs-00", CONFIG)
             try:
-                await sender.begin({"repair_id": "r1", "sender": "cs-00"})
-                stream = inbox.get("r1/cs-00")
+                assert await sender.begin(
+                    {"repair_id": "r1", "sender": "cs-00"}
+                ) is None  # nothing to wait for: BEGIN is never answered
+                stream = await opened(inbox, "r1/cs-00")
                 for index in range(3):
                     await sender.data(
                         {"slice_index": index, "offset": index * 4},
@@ -352,15 +389,17 @@ class TestStreamTransport:
                     server.trailers["r1/cs-00"],
                     sender.bytes_sent,
                     reply.payload["nbytes"],
+                    server.begin_request_ids,
                 )
             finally:
                 await client.close()
                 await server.close()
 
-        got, trailer, sent, acked = run(scenario())
+        got, trailer, sent, acked, begin_ids = run(scenario())
         assert got == [0, 1, 2]  # one connection: arrival order is send order
         assert trailer["trailer"] is True
         assert sent == acked == 12
+        assert begin_ids == [0]  # BEGIN went out one-way (request id 0)
 
     def test_data_without_begin_is_rejected(self):
         async def scenario():
@@ -445,9 +484,9 @@ class TestStreamTransport:
                 await sender.begin({"repair_id": "r1", "sender": "cs-00"})
                 await sender.data({"slice_index": 0, "offset": 0}, segment)
                 client._connection.close(abort=True)
-                await client.call(  # another stream reconnects the client
-                    MessageType.STREAM_BEGIN,
-                    {"stream_id": "r1/cs-01", "repair_id": "r1"},
+                # another stream reconnects the client
+                await StreamSender(client, "r1/cs-01", CONFIG).begin(
+                    {"repair_id": "r1", "sender": "cs-01"}
                 )
                 with pytest.raises(StreamError, match="lost since BEGIN"):
                     await sender.data(
@@ -470,7 +509,7 @@ class TestStreamTransport:
             sender = StreamSender(client, "r1/cs-00", CONFIG)
             try:
                 await sender.begin({"repair_id": "r1", "sender": "cs-00"})
-                stream = inbox.get("r1/cs-00")
+                stream = await opened(inbox, "r1/cs-00")
                 await sender.abort("helper failed")
                 with pytest.raises(RepairAbortedError):
                     await stream.next_frame()
@@ -483,6 +522,25 @@ class TestStreamTransport:
                 await server.close()
 
         run(scenario())
+
+    def test_abort_before_begin_sends_nothing(self):
+        """A helper that fails before its slice 0 was ready never opened
+        a stream, so its ABORT has nothing to free and stays unsent."""
+
+        async def scenario():
+            server, _ = await stream_server()
+            client = RpcClient(server.address, CONFIG)
+            sender = StreamSender(client, "r1/cs-00", CONFIG)
+            try:
+                await sender.abort("subtree timed out")
+                with pytest.raises(StreamError):
+                    await sender.begin({"repair_id": "r1", "sender": "cs-00"})
+                return client._connection
+            finally:
+                await client.close()
+                await server.close()
+
+        assert run(scenario()) is None  # never even connected
 
     def test_abort_repair_sweeps_all_streams(self):
         async def scenario():
@@ -508,11 +566,12 @@ class TestStreamTransport:
         segment = {0: np.zeros(1 << 20, np.uint8)}
 
         async def scenario():
-            server, _ = await stream_server()
+            server, inbox = await stream_server()
             client = RpcClient(server.address, CONFIG)
             sender = StreamSender(client, "r1/cs-00", CONFIG)
             try:
                 await sender.begin({"repair_id": "r1", "sender": "cs-00"})
+                await opened(inbox, "r1/cs-00")
                 (connection,) = server._connections
                 connection._transport.pause_reading()
                 for index in range(64):  # the socket buffers fill up

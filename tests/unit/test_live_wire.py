@@ -55,7 +55,7 @@ class TestFrameRoundtrip:
             1: np.zeros(0, dtype=np.uint8),
         }
         frame = Frame(
-            mtype=MessageType.PARTIAL_RESULT,
+            mtype=MessageType.RAW_READ,
             request_id=99,
             payload={"repair_id": "r1"},
             buffers=buffers,
@@ -147,6 +147,19 @@ class TestMalformedInput:
         blob = b'{"__buffers__": [[0, 64]]}'
         body = struct.pack("!I", len(blob)) + blob + b"\x00" * 8
         with pytest.raises(WireFormatError, match="overruns"):
+            decode_body(int(MessageType.PING), 0, 1, body)
+
+    @pytest.mark.parametrize(
+        "index",
+        [b"5", b"[[1]]", b"[[0, 1, 2]]", b'[{"a": 1}]', b'["ab"]',
+         b'[["x", 1]]', b"[[0, -1]]"],
+    )
+    def test_malformed_buffer_index(self, index):
+        """A buffer index that is not a list of [key, length] pairs — as
+        a flipped bit can make it — is a format error, never a crash."""
+        blob = b'{"__buffers__": ' + index + b"}"
+        body = struct.pack("!I", len(blob)) + blob + b"\x00" * 2
+        with pytest.raises(WireFormatError):
             decode_body(int(MessageType.PING), 0, 1, body)
 
     def test_trailing_garbage(self):
