@@ -394,17 +394,24 @@ class StorageCluster:
         specs = []
         ingress_links = self.topology.ingress
         egress_links = self.topology.egress
+        # Through the network, not Link.utilization: it solves rates a
+        # change earlier in this instant left stale.
+        utilization = self.network.utilization
         for sid in self.server_ids:
             server = self.servers[sid]
             labels = {"node": sid}
             ingress = ingress_links.get(sid)
             egress = egress_links.get(sid)
             if ingress is not None:
-                specs.append(
-                    ("net.ingress_util", labels, ingress.utilization)
-                )
+                specs.append((
+                    "net.ingress_util", labels,
+                    lambda link=ingress: utilization(link),
+                ))
             if egress is not None:
-                specs.append(("net.egress_util", labels, egress.utilization))
+                specs.append((
+                    "net.egress_util", labels,
+                    lambda link=egress: utilization(link),
+                ))
             specs.append(
                 (
                     "disk.queue_depth",

@@ -4,6 +4,13 @@ Callback-based rather than coroutine-based: actors (chunk servers, the
 meta-server, clients) register handler methods; the engine orders them in
 virtual time.  Determinism matters for reproducibility, so ties break on a
 monotonically increasing sequence number.
+
+A *virtual instant* is every event at one value of ``now``.  Work that
+only matters once an instant is over (the flow network's rate solve) is
+registered with :meth:`Simulation.at_instant_end` and runs after the
+instant's last event, before the clock advances.  Such a callback is not
+an event: it is not counted in ``events_executed`` and is invisible to
+the profiler and clock observers.
 """
 
 from __future__ import annotations
@@ -77,6 +84,12 @@ class Simulation:
         #: heap, so profiled runs stay bit-identical.  None costs one
         #: attribute load and a branch per event.
         self.profiler: "Optional[Any]" = None
+        #: Callbacks waiting for the current virtual instant to end
+        #: (:meth:`at_instant_end`); an empty list is the only per-event
+        #: cost when nothing waits.  Events at ``now`` numbered after
+        #: ``_instant_end_seq`` wait for them.
+        self._instant_end: "List[Callable[[], None]]" = []
+        self._instant_end_seq = 0
 
     def set_profiler(self, profiler: "Optional[Any]") -> None:
         """Attach (or with None, detach) a read-only event profiler.
@@ -124,16 +137,69 @@ class Simulation:
         heapq.heappush(self._heap, event)
         return event
 
+    def _schedule_as_of(
+        self, seq: int, time: float, callback: "Callable[..., None]", *args: Any
+    ) -> Event:
+        """``schedule_at`` under a number drawn earlier from ``_seq``.
+
+        The event breaks ties as if it had been scheduled when ``seq`` was
+        drawn (see :meth:`at_instant_end`).
+        """
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def at_instant_end(self, callback: "Callable[[], None]") -> int:
+        """Run ``callback()`` once, before the clock next advances.
+
+        Pending callbacks run after the last event at ``now`` (from
+        :meth:`peek_time` or :meth:`step`, whichever looks past ``now``
+        first, also when no event is pending at all) -- or sooner: right
+        before an event at ``now`` that was scheduled after the latest
+        call here.  So whatever a callback schedules under the returned
+        number sorts exactly as if it had been scheduled by that call.
+        A callback is not an event: not counted in ``events_executed``,
+        not seen by the profiler or clock observers.  Registering a
+        pending callback again only moves that bound.
+
+        Returns a fresh sequence number for :meth:`_schedule_as_of`.
+        """
+        if callback not in self._instant_end:
+            self._instant_end.append(callback)
+        self._instant_end_seq = seq = next(self._seq)
+        return seq
+
+    def _end_instant(self) -> None:
+        callbacks, self._instant_end = self._instant_end, []
+        for callback in callbacks:
+            callback()
+
     def peek_time(self) -> "Optional[float]":
-        """Time of the next pending event, or None if the heap is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        """Time of the next pending event, or None if the heap is empty.
+
+        Ends the current instant first when the next event lies later.
+        """
+        heap = self._heap
+        while True:
+            while heap and heap[0].cancelled:
+                heapq.heappop(heap)
+            if self._instant_end and (not heap or heap[0].time > self.now):
+                self._end_instant()
+                continue
+            return heap[0].time if heap else None
 
     def step(self) -> bool:
         """Run the next event.  Returns False when nothing is pending."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap or self._instant_end:
+            if self._instant_end and (
+                not heap
+                or heap[0].time > self.now
+                or heap[0].seq > self._instant_end_seq
+            ):
+                self._end_instant()
+                continue
+            event = heapq.heappop(heap)
             if event.cancelled:
                 continue
             previous = self.now

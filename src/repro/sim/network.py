@@ -1,11 +1,29 @@
 """Flow-level network with max-min fair bandwidth sharing.
 
 Every bulk transfer is a :class:`Flow` along a path of :class:`Link`
-objects.  Whenever the set of active flows changes, rates are recomputed
-with the classic *progressive filling* algorithm: repeatedly find the most
-contended link, freeze its flows at the equal share of its residual
-capacity, remove it, repeat.  Between changes flows progress linearly, so
-the engine only needs one completion event at a time.
+objects.  Rates are max-min fair, computed with the classic *progressive
+filling* algorithm: repeatedly find the most contended link, freeze its
+flows at the equal share of its residual capacity, remove it, repeat.
+Between changes flows progress linearly, so the engine only needs one
+completion event at a time.
+
+A change to the set of active flows settles progress to ``now`` and
+disarms the completion timer at once, but solves nothing: the network
+turns stale and solves rates, then re-arms the timer, once per virtual
+instant, after the instant's last event
+(:meth:`~repro.sim.events.Simulation.at_instant_end`).  A star fan-in
+that starts k flows in one event, or a completion whose callback starts
+the next hop, costs one solve, not k or two.
+
+Results are bit-identical to solving on every change.  Rates are a pure
+function of the active set, and progress is settled before each change,
+so a later solve finds the same rates and the same completion time.  The
+timer takes the sequence number and causal context of the last change,
+so it breaks ties and propagates trace context as a timer armed by that
+change would have; if an event at ``now`` scheduled after that change
+comes up first, the solve runs just before it (a timer due at ``now``
+must fire first).  A telemetry read mid-instant goes through
+:meth:`FlowNetwork.utilization`, which solves stale rates first.
 
 This is the standard fluid approximation used by datacenter-scale
 simulators; it captures exactly the effect the paper builds on — k
@@ -17,7 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Dict, Optional, Sequence, Set
+import operator
+from typing import Any, Callable, Dict, KeysView, Optional, Sequence, Set
 
 from repro import obs
 from repro.obs import causal
@@ -33,6 +52,8 @@ _EPSILON_BYTES = 1e-6
 #: ``now + dt == now`` (a sub-femtosecond remainder would otherwise loop
 #: the completion timer forever without advancing the clock).
 _EPSILON_SECONDS = 1e-9
+
+_flow_id = operator.attrgetter("flow_id")
 
 
 class Link:
@@ -85,8 +106,9 @@ class Link:
         """Fraction of effective capacity carrying flows right now.
 
         Sum of the current max-min fair flow rates over the deliverable
-        goodput; a read-only tap for telemetry sampling.  In [0, 1] up to
-        float rounding (0.0 on an idle or zero-capacity link).
+        goodput.  In [0, 1] up to float rounding (0.0 on an idle or
+        zero-capacity link).  Mid-instant the rates may be stale; read it
+        through :meth:`FlowNetwork.utilization` to solve them first.
         """
         capacity = self.effective_capacity()
         if capacity <= 0.0 or not self.flows:
@@ -107,6 +129,7 @@ class Flow:
         "remaining",
         "rate",
         "meta",
+        "traffic_class",
         "on_complete",
         "start_time",
         "finish_time",
@@ -127,14 +150,12 @@ class Flow:
         self.remaining = float(size)
         self.rate = 0.0
         self.meta = meta
+        #: QoS class ("foreground" unless tagged otherwise via meta);
+        #: ``meta`` is fixed at start, so it is read once, here.
+        self.traffic_class = str(meta.get("traffic_class", "foreground"))
         self.on_complete = on_complete
         self.start_time = start_time
         self.finish_time: "Optional[float]" = None
-
-    @property
-    def traffic_class(self) -> str:
-        """QoS class ("foreground" unless tagged otherwise via meta)."""
-        return str(self.meta.get("traffic_class", "foreground"))
 
     @property
     def duration(self) -> float:
@@ -155,10 +176,19 @@ class FlowNetwork:
 
     def __init__(self, sim: Simulation):
         self.sim = sim
-        self.active: "Set[Flow]" = set()
+        #: Active flows in flow-id order (a dict as an ordered set), the
+        #: order every float accumulation over them follows.
+        self._active: "Dict[Flow, None]" = {}
         self._flow_ids = itertools.count()
         self._last_settle = 0.0
         self._completion_event: "Optional[Event]" = None
+        #: Rates no longer match the active set (solved lazily).
+        self._stale = False
+        #: Sequence number and causal context of the last change: the
+        #: timer armed at instant end breaks ties and runs as if it had
+        #: been scheduled by that change.
+        self._change_seq = 0
+        self._change_ctx: "Optional[causal.SpanContext]" = None
         self.completed_flows = 0
         self.total_bytes_moved = 0.0
         #: Network-wide per-traffic-class byte totals (QoS accounting).
@@ -169,6 +199,22 @@ class FlowNetwork:
         #: stays at enqueue, so admission queueing counts as latency.
         self.admission: "Optional[Any]" = None
         self._pending: "Set[Flow]" = set()
+
+    @property
+    def active(self) -> "KeysView[Flow]":
+        """The flows in the fabric, in flow-id order (a read-only view)."""
+        return self._active.keys()
+
+    def utilization(self, link: Link) -> float:
+        """``link.utilization()`` under rates solved for the current flows.
+
+        Solves first when a change this instant left the rates stale; the
+        completion timer is still armed at instant end, so a telemetry
+        read never touches the event heap.
+        """
+        if self._stale:
+            self._solve()
+        return link.utilization()
 
     # ------------------------------------------------------------------
     # Public API
@@ -213,7 +259,7 @@ class FlowNetwork:
 
     def _attach(self, flow: Flow) -> None:
         self._settle()
-        self.active.add(flow)
+        self._active[flow] = None
         for link in flow.path:
             link.flows.add(flow)
         self._reallocate()
@@ -224,13 +270,16 @@ class FlowNetwork:
             return  # cancelled while queued
         self._pending.discard(flow)
         self._attach(flow)
+        # The only out-of-order attach: younger flows may already be in.
+        if len(self._active) > 1:
+            self._active = dict.fromkeys(sorted(self._active, key=_flow_id))
 
     def cancel_flow(self, flow: Flow) -> None:
         """Abort a transfer (e.g. helper died); no completion fires."""
         if flow in self._pending:
             self._pending.discard(flow)
             return
-        if flow not in self.active:
+        if flow not in self._active:
             return
         self._settle()
         self._detach(flow)
@@ -254,7 +303,7 @@ class FlowNetwork:
         for flow in [f for f in self._pending if touches(f)]:
             self._pending.discard(flow)
             cancelled += 1
-        victims = [flow for flow in self.active if touches(flow)]
+        victims = [flow for flow in self._active if touches(flow)]
         if not victims:
             return cancelled
         self._settle()
@@ -267,7 +316,7 @@ class FlowNetwork:
     # Internals
     # ------------------------------------------------------------------
     def _detach(self, flow: Flow) -> None:
-        self.active.discard(flow)
+        del self._active[flow]
         for link in flow.path:
             link.flows.discard(flow)
 
@@ -275,10 +324,9 @@ class FlowNetwork:
         """Advance every active flow's progress to ``sim.now``."""
         elapsed = self.sim.now - self._last_settle
         if elapsed > 0:
-            # Deterministic order: the active set hashes by object id, so
-            # iterating it directly would make float-accumulation order
-            # (and hence byte counters) depend on heap layout.
-            for flow in sorted(self.active, key=lambda f: f.flow_id):
+            # Flow-id order, never hash order: float-accumulation order
+            # (and hence byte counters) must not depend on heap layout.
+            for flow in self._active:
                 moved = flow.rate * elapsed
                 flow.remaining = max(0.0, flow.remaining - moved)
                 cls = flow.traffic_class
@@ -294,22 +342,37 @@ class FlowNetwork:
         self._last_settle = self.sim.now
 
     def _reallocate(self) -> None:
-        """Progressive filling: recompute max-min fair rates, reschedule."""
+        """The active set changed: disarm the timer, solve at instant end.
+
+        The timer goes at once: one armed from stale rates must never fire.
+        """
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        if not self.active:
+        self._stale = True
+        self._change_seq = self.sim.at_instant_end(self._end_instant)
+        self._change_ctx = causal.current()
+
+    def _end_instant(self) -> None:
+        if self._stale:
+            self._solve()
+        self._schedule_next_completion()
+
+    def _solve(self) -> None:
+        """Progressive filling: recompute max-min fair rates."""
+        self._stale = False
+        if not self._active:
             return
 
         # Iteration order is pinned (flow id, link name) everywhere ties
         # or float accumulation could otherwise follow set/hash order:
         # rerunning the same scenario must replay bit-identically even
         # within one process (the QoS fingerprint tests rely on it).
-        unfrozen: "Set[Flow]" = set(self.active)
+        unfrozen: "Set[Flow]" = set(self._active)
         residual: "Dict[Link, float]" = {}
         link_unfrozen: "Dict[Link, int]" = {}
         link_set: "Set[Link]" = set()
-        for flow in self.active:
+        for flow in self._active:
             flow.rate = 0.0
             for link in flow.path:
                 link_set.add(link)
@@ -335,7 +398,7 @@ class FlowNetwork:
             if best_link is None:
                 break
             # Freeze every unfrozen flow crossing the bottleneck.
-            for flow in sorted(best_link.flows, key=lambda f: f.flow_id):
+            for flow in sorted(best_link.flows, key=_flow_id):
                 if flow not in unfrozen:
                     continue
                 flow.rate = best_share
@@ -345,12 +408,10 @@ class FlowNetwork:
                     link_unfrozen[link] -= 1
             links.remove(best_link)
 
-        self._schedule_next_completion()
-
     def _schedule_next_completion(self) -> None:
         soonest: "Optional[Flow]" = None
         soonest_dt = math.inf
-        for flow in sorted(self.active, key=lambda f: f.flow_id):
+        for flow in self._active:
             if flow.rate <= 0:
                 raise SimulationError(
                     f"active flow has zero rate: {flow!r}"
@@ -361,9 +422,13 @@ class FlowNetwork:
                 soonest = flow
         if soonest is None:
             return
-        self._completion_event = self.sim.schedule(
-            soonest_dt, self._on_completion_timer, soonest
+        sim = self.sim
+        event = sim._schedule_as_of(
+            self._change_seq, sim.now + soonest_dt,
+            self._on_completion_timer, soonest,
         )
+        event.ctx = self._change_ctx
+        self._completion_event = event
 
     def _on_completion_timer(self, flow: Flow) -> None:
         self._completion_event = None

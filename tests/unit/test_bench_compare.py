@@ -86,6 +86,43 @@ def test_model_metric_drift_fails_in_both_directions(dirs):
     assert bench_compare.compare_dirs(baseline, fresh, out=io.StringIO()) == 1
 
 
+@pytest.mark.parametrize("name", [
+    "fig1.network_s", "table1.ratio", "table2.steps",
+    "redundancy_matrix.mttdl_h", "durability_comparison.loss_prob",
+    "ext_fig8_qos.p99_s",
+])
+def test_model_metric_must_match_exactly(dirs, name):
+    """Deterministic model outputs: a 1e-6 relative drift fails, either
+    way, whatever ``--tolerance`` says; 1e-12 is float noise and passes."""
+    baseline, fresh = dirs
+    _write(baseline, "BENCH_x.json", [_metric(name, 2.0)])
+    for drift, failures in ((1e-6, 1), (-1e-6, 1), (1e-12, 0)):
+        _write(fresh, "BENCH_x.json", [_metric(name, 2.0 * (1 + drift))])
+        assert bench_compare.compare_dirs(
+            baseline, fresh, tolerance=0.5, out=io.StringIO()
+        ) == failures
+
+
+def test_live_metric_and_median_keep_the_band(dirs):
+    """The live pipelining measurement stays two-sided at the band and a
+    wall-clock ``.median`` one-sided, while a model metric is exact."""
+    baseline, fresh = dirs
+    _write(baseline, "BENCH_x.json", [
+        _metric("ext_live_pipelining.speedup", 2.0),
+        _metric("test_fig1_phase_breakdown.median", 1.0),
+    ])
+    _write(fresh, "BENCH_x.json", [
+        _metric("ext_live_pipelining.speedup", 2.4),
+        _metric("test_fig1_phase_breakdown.median", 1.2),
+    ])
+    assert bench_compare.compare_dirs(baseline, fresh, out=io.StringIO()) == 0
+    _write(fresh, "BENCH_x.json", [
+        _metric("ext_live_pipelining.speedup", 1.4),
+        _metric("test_fig1_phase_breakdown.median", 1.2),
+    ])
+    assert bench_compare.compare_dirs(baseline, fresh, out=io.StringIO()) == 1
+
+
 def test_unstable_stats_are_skipped(dirs):
     """min/max/mean/stddev/rounds never fail the gate, however noisy."""
     baseline, fresh = dirs

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.codes import ReedSolomonCode
+from repro.core.single_repair import run_single_repair
+from repro.fs import cluster as cluster_module
+from repro.fs.cluster import StorageCluster
+from repro.obs import causal
 from repro.qos.admission import AdmissionConfig, AdmissionController
 from repro.sim.events import Simulation
 from repro.sim.network import FlowNetwork, Link
+from tests.eager_network import EagerFlowNetwork
 
 
 @pytest.fixture
@@ -186,3 +192,94 @@ def test_link_flows_stay_a_subset_of_active(net):
         check()
     assert events > 5 and not network.active and not network._pending
     assert all(not link.flows for link in links)
+
+
+def count_solves(monkeypatch, network):
+    """Count progressive-filling runs of ``network``."""
+    calls = []
+    solve = network._solve
+    monkeypatch.setattr(network, "_solve", lambda: (calls.append(1), solve()))
+    return calls
+
+
+def test_fan_in_started_by_one_event_costs_one_solve(net, monkeypatch):
+    """k = 8 flows into one ingress, started by one event: one solve
+    before the clock advances, not one per flow."""
+    sim, network = net
+    solves = count_solves(monkeypatch, network)
+    ingress = Link("dst:in", 800.0)
+
+    def fan_in():
+        for i in range(8):
+            network.start_flow([Link(f"src{i}:out", 800.0), ingress], 100.0)
+
+    sim.schedule(1.0, fan_in)
+    assert sim.step() and sim.now == 1.0
+    assert solves == []  # nothing solved mid-instant
+    assert sim.peek_time() == 2.0  # B/k each: 100 bytes at 100 B/s
+    assert len(solves) == 1
+
+
+def test_completion_that_starts_a_flow_costs_one_solve(net, monkeypatch):
+    sim, network = net
+    link = Link("l", 100.0)
+    network.start_flow(
+        [link], 100.0, lambda flow: network.start_flow([link], 50.0)
+    )
+    assert sim.peek_time() == 1.0  # set-up is solved by the first peek
+    solves = count_solves(monkeypatch, network)
+    assert sim.step() and sim.now == 1.0  # completes, starts the next hop
+    assert sim.peek_time() == 1.5
+    assert len(solves) == 1
+
+
+def test_completion_runs_in_the_context_of_the_last_change(net):
+    """The timer re-armed at instant end carries the causal context the
+    change that disarmed it ran in, as a timer armed by it would."""
+    sim, network = net
+    link = Link("l", 100.0)
+    seen = []
+    ctx = causal.SpanContext(trace_id="t", span_id="s")
+
+    def traced_start():
+        with causal.bound(ctx):
+            network.start_flow([link], 100.0)
+
+    network.start_flow([link], 300.0, lambda f: seen.append(causal.current()))
+    sim.schedule(0.5, traced_start)
+    sim.run()
+    assert seen == [ctx]
+
+
+def test_utilization_solves_stale_rates_without_touching_the_heap(net):
+    sim, network = net
+    link = Link("l", 100.0)
+    network.start_flow([link], 100.0)
+    network.start_flow([link], 100.0)
+    assert network.utilization(link) == pytest.approx(1.0)
+    assert [f.rate for f in network.active] == [50.0, 50.0]
+    assert sim._heap == []  # the timer is armed at instant end
+    assert sim.peek_time() == 2.0
+
+
+def test_sim_telemetry_matches_eager_oracle(monkeypatch):
+    """Sampled link utilization (read mid-instant by clock observers)
+    equals the solve-on-every-change network's, sample for sample."""
+
+    def run():
+        cluster = StorageCluster.smallsite()
+        store = cluster.enable_telemetry(interval=0.01)
+        stripe = cluster.write_stripe(ReedSolomonCode(6, 3), "64MiB")
+        result = run_single_repair(cluster, stripe, 0, strategy="star")
+        series = {
+            (s.name, tuple(sorted(s.labels.items()))): s.samples()
+            for s in store.all_series()
+            if s.name in ("net.ingress_util", "net.egress_util")
+        }
+        return series, result.duration, cluster.sim.events_executed
+
+    deferred = run()
+    monkeypatch.setattr(cluster_module, "FlowNetwork", EagerFlowNetwork)
+    eager = run()
+    assert deferred == eager
+    assert any(v > 0 for samples in deferred[0].values() for _, v in samples)

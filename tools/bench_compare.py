@@ -11,12 +11,15 @@ Which metrics are compared
     pytest-benchmark timing stats other than the median (``.min`` /
     ``.max`` / ``.mean`` / ``.stddev`` / ``.rounds``) are noisy across
     machines and are skipped.  ``.median`` timings and all experiment
-    metrics saved through ``save_report`` (simulator output — fully
-    deterministic) are kept.  Experiment metrics are two-sided: drift in
-    either direction fails.  ``.median`` timings are wall-clock seconds
-    and one-sided: slower than the band fails, faster passes and is
-    marked ``improved`` in the table, so a speed-up never forces a
-    baseline refresh.  Records are keyed by
+    metrics saved through ``save_report`` are kept.  Experiment metrics
+    are two-sided: drift in either direction fails.  The deterministic
+    model outputs (``EXACT_PREFIXES``: simulator and analytic metrics,
+    regenerated bit for bit) must match to ``EXACT_TOLERANCE``; the rest
+    (the live ``ext_live_pipelining.*`` measurements) keep the band.
+    ``.median`` timings are wall-clock seconds and one-sided: slower than
+    the band fails, faster passes and is marked ``improved`` in the
+    table, so a speed-up never forces a baseline refresh.  Records are
+    keyed by
     ``(metric, sorted config items, occurrence index)`` so the same
     metric measured under different workload configs — or repeated
     per-row — compares against its true counterpart.
@@ -54,6 +57,20 @@ SKIP_SUFFIXES = (".min", ".max", ".mean", ".stddev", ".rounds")
 
 #: Wall-clock stat suffix: lower is better, so only a slowdown fails.
 ONE_SIDED_SUFFIX = ".median"
+
+#: Deterministic model metrics: compared two-sided at ``EXACT_TOLERANCE``,
+#: never at the band (``--tolerance`` does not apply to them).
+EXACT_PREFIXES = (
+    "fig1.",
+    "table1.",
+    "table2.",
+    "redundancy_matrix.",
+    "durability_comparison.",
+    "ext_fig8_qos.",
+)
+
+#: Relative drift allowed for exact metrics: a constant, not a band.
+EXACT_TOLERANCE = 1e-9
 
 #: Baseline values this close to zero are compared absolutely instead.
 _ABS_EPSILON = 1e-12
@@ -121,7 +138,11 @@ def compare_file(
             delta_pct = 0.0 if ok else math.inf
         else:
             delta_pct = (fresh_value - base_value) / abs(base_value) * 100.0
-            ok = abs(delta_pct) <= tolerance * 100.0
+            allowed = (
+                EXACT_TOLERANCE if name.startswith(EXACT_PREFIXES)
+                else tolerance
+            )
+            ok = abs(delta_pct) <= allowed * 100.0
         if ok:
             status = "ok"
         elif name.endswith(ONE_SIDED_SUFFIX) and delta_pct < 0:
@@ -212,7 +233,8 @@ def compare_dirs(
     verdict = "PASS" if total_failures == 0 else "FAIL"
     print(
         f"\nbench_compare: {compared} metrics compared, "
-        f"{total_failures} outside the {tolerance:.0%} band -> {verdict}",
+        f"{total_failures} outside tolerance ({tolerance:.0%} band, "
+        f"{EXACT_TOLERANCE:g} on model metrics) -> {verdict}",
         file=out,
     )
     return total_failures
@@ -236,8 +258,9 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=DEFAULT_TOLERANCE,
-        help="allowed relative drift (default 0.25: +/-25%% on model "
-        "metrics, +25%% on .median timings)",
+        help="allowed relative drift (default 0.25: +/-25%% on live "
+        "metrics, +25%% on .median timings; model metrics always "
+        f"{EXACT_TOLERANCE:g})",
     )
     args = parser.parse_args(argv)
     failures = compare_dirs(args.baseline, args.fresh, args.tolerance)
