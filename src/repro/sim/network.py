@@ -15,6 +15,12 @@ instant, after the instant's last event
 that starts k flows in one event, or a completion whose callback starts
 the next hop, costs one solve, not k or two.
 
+A solve's set-up is one pass over the links in use, which attach and
+detach keep in name order; each link holds its residual capacity and
+unfrozen-flow count in private slots.  Rounds drop exhausted links, and
+freeze a bottleneck's flows unsorted: each takes the same share off every
+link it crosses, so their order changes no float.
+
 Results are bit-identical to solving on every change.  Rates are a pure
 function of the active set, and progress is settled before each change,
 so a later solve finds the same rates and the same completion time.  The
@@ -33,10 +39,11 @@ per-step link-disjoint transfers each get the full B.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
-from typing import Any, Callable, Dict, KeysView, Optional, Sequence, Set
+from typing import Any, Callable, Dict, KeysView, List, Optional, Sequence, Set
 
 from repro import obs
 from repro.obs import causal
@@ -75,6 +82,9 @@ class Link:
         "class_bytes",
         "incast_threshold",
         "incast_gamma",
+        # Progressive-filling state, valid only inside one solve.
+        "_residual",
+        "_unfrozen",
     )
 
     def __init__(
@@ -92,6 +102,8 @@ class Link:
         self.class_bytes: "Dict[str, float]" = {}
         self.incast_threshold = incast_threshold
         self.incast_gamma = incast_gamma
+        self._residual = 0.0
+        self._unfrozen = 0
 
     def effective_capacity(self) -> float:
         """Deliverable goodput given the current number of flows."""
@@ -179,6 +191,10 @@ class FlowNetwork:
         #: Active flows in flow-id order (a dict as an ordered set), the
         #: order every float accumulation over them follows.
         self._active: "Dict[Flow, None]" = {}
+        #: Links carrying at least one active flow, in name order (with
+        #: their names alongside, for ``bisect``), kept on attach/detach.
+        self._in_use: "List[Link]" = []
+        self._in_use_names: "List[str]" = []
         self._flow_ids = itertools.count()
         self._last_settle = 0.0
         self._completion_event: "Optional[Event]" = None
@@ -235,6 +251,8 @@ class FlowNetwork:
             raise SimulationError(f"flow size must be >= 0, got {size}")
         if not path:
             raise SimulationError("flow path must contain at least one link")
+        if len(set(path)) != len(path):
+            raise SimulationError("flow path must not repeat a link")
         flow = Flow(
             next(self._flow_ids),
             path,
@@ -261,6 +279,10 @@ class FlowNetwork:
         self._settle()
         self._active[flow] = None
         for link in flow.path:
+            if not link.flows:
+                i = bisect.bisect(self._in_use_names, link.name)
+                self._in_use_names.insert(i, link.name)
+                self._in_use.insert(i, link)
             link.flows.add(flow)
         self._reallocate()
 
@@ -319,6 +341,10 @@ class FlowNetwork:
         del self._active[flow]
         for link in flow.path:
             link.flows.discard(flow)
+            if not link.flows:
+                i = self._in_use.index(link)
+                del self._in_use_names[i]
+                del self._in_use[i]
 
     def _settle(self) -> None:
         """Advance every active flow's progress to ``sim.now``."""
@@ -364,49 +390,47 @@ class FlowNetwork:
         if not self._active:
             return
 
-        # Iteration order is pinned (flow id, link name) everywhere ties
-        # or float accumulation could otherwise follow set/hash order:
-        # rerunning the same scenario must replay bit-identically even
-        # within one process (the QoS fingerprint tests rely on it).
-        unfrozen: "Set[Flow]" = set(self._active)
-        residual: "Dict[Link, float]" = {}
-        link_unfrozen: "Dict[Link, int]" = {}
-        link_set: "Set[Link]" = set()
+        # The bottleneck scan follows link-name order, so a tie in share
+        # goes to the first name and a rerun of the same scenario replays
+        # bit-identically even within one process (the QoS fingerprint
+        # tests rely on it).  The in-use list already is in that order;
+        # each link's residual and unfrozen count live in its slots.
         for flow in self._active:
             flow.rate = 0.0
-            for link in flow.path:
-                link_set.add(link)
-        links = sorted(link_set, key=lambda ln: ln.name)
+        links = self._in_use
         for link in links:
-            residual[link] = link.effective_capacity()
+            link._residual = (
+                link.capacity if link.incast_threshold is None
+                else link.effective_capacity()
+            )
             # Every flow on a link is active (_attach/_detach move both
-            # sets together) and nothing is frozen yet.
-            link_unfrozen[link] = len(link.flows)
+            # sets together), paths repeat no link, and nothing is frozen.
+            link._unfrozen = len(link.flows)
 
-        while unfrozen:
+        frozen: "Set[Flow]" = set()
+        while links:
             # The bottleneck link is the one with the smallest equal share.
             best_link: "Optional[Link]" = None
             best_share = math.inf
             for link in links:
-                count = link_unfrozen[link]
-                if count <= 0:
-                    continue
-                share = residual[link] / count
+                share = link._residual / link._unfrozen
                 if share < best_share:
                     best_share = share
                     best_link = link
             if best_link is None:
                 break
-            # Freeze every unfrozen flow crossing the bottleneck.
-            for flow in sorted(best_link.flows, key=_flow_id):
-                if flow not in unfrozen:
+            # Freeze the bottleneck's unfrozen flows; their order is free.
+            for flow in best_link.flows:
+                if flow in frozen:
                     continue
+                frozen.add(flow)
                 flow.rate = best_share
-                unfrozen.discard(flow)
                 for link in flow.path:
-                    residual[link] -= best_share
-                    link_unfrozen[link] -= 1
-            links.remove(best_link)
+                    link._residual -= best_share
+                    link._unfrozen -= 1
+            # Drop the exhausted links, the bottleneck among them: the
+            # scan would skip them, and the survivors keep name order.
+            links = [link for link in links if link._unfrozen]
 
     def _schedule_next_completion(self) -> None:
         soonest: "Optional[Flow]" = None

@@ -1,13 +1,16 @@
 """Reference flow network that re-solves rates on every flow change.
 
 :class:`EagerFlowNetwork` is the solver :class:`repro.sim.network.
-FlowNetwork` replaced: the same progressive filling, the same pinned
-iteration orders (``sorted`` by flow id and link name), but run inside
-every ``start_flow``/``cancel_*``/completion instead of once per virtual
+FlowNetwork` replaced: the same progressive filling, run inside every
+``start_flow``/``cancel_*``/completion instead of once per virtual
 instant.  Differential tests run one schedule against both and require
-bit-identical results.  It reuses :class:`~repro.sim.network.Flow` and
-:class:`~repro.sim.network.Link`, reads a flow's class from ``meta`` on
-every settle as that solver did, and leaves out tracing.
+bit-identical results.  It keeps the original per-solve set-up on
+purpose, as the plain reference the faster solver must match: a
+``sorted()`` by link name and by flow id, per-solve residual dicts, and a
+scan that only skips exhausted links.  It reuses
+:class:`~repro.sim.network.Flow` and :class:`~repro.sim.network.Link`,
+reads a flow's class from ``meta`` on every settle as that solver did,
+and leaves out tracing.
 """
 
 from __future__ import annotations

@@ -170,6 +170,11 @@ def run_schedule(network_cls, ops):
 @example([(None, "start", 0, 0, 0.0, 2)] * 3
          + [(None, "start", 0, 0, 125000.0, 2),
             (None, "chain", 0, 0, 125000.0, 2), (0.25, "chain", 0, 0, 0.0, 2)])
+# Equal shares tie between links: the scan must visit in-use links in
+# name order, not in the order they first carried a flow.
+@example([(None, "fanin", 0, 4, 125000.0, 3),
+          (None, "start", 1, 0, 125000.0, 2),
+          (None, "start", 1, 0, 125000.0, 2)])
 @settings(max_examples=300, deadline=None)
 def test_instant_solve_matches_eager_oracle_exactly(ops):
     """Finish times, event count and every byte counter are bit-identical
@@ -177,3 +182,11 @@ def test_instant_solve_matches_eager_oracle_exactly(ops):
     deferred = run_schedule(FlowNetwork, ops)
     eager = run_schedule(EagerFlowNetwork, ops)
     assert deferred == eager
+
+
+@pytest.mark.slow
+@given(st.lists(OPS, min_size=1, max_size=14))
+@settings(max_examples=4000, deadline=None)
+def test_instant_solve_matches_eager_oracle_deep(ops):
+    """The differential above at the depth where ordering bugs showed up."""
+    assert run_schedule(FlowNetwork, ops) == run_schedule(EagerFlowNetwork, ops)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.codes import ReedSolomonCode
 from repro.core.single_repair import run_single_repair
+from repro.errors import SimulationError
 from repro.fs import cluster as cluster_module
 from repro.fs.cluster import StorageCluster
 from repro.obs import causal
@@ -140,11 +141,26 @@ def test_flow_arrival_midway_reshapes_rates(net):
     assert done["second"].finish_time == pytest.approx(2.0)
 
 
+def test_path_that_repeats_a_link_is_rejected(net):
+    """The solver counts a flow once per link in ``len(link.flows)`` but
+    takes its share once per hop; a repeated link would carry twice its
+    capacity."""
+    sim, network = net
+    link = Link("a", 100.0)
+    with pytest.raises(SimulationError, match="repeat"):
+        network.start_flow([link, link], 100.0)
+    with pytest.raises(SimulationError, match="repeat"):
+        network.start_flow([link, Link("b", 100.0), link], 100.0)
+    assert not network.active and not link.flows and not network._in_use
+
+
 def test_link_flows_stay_a_subset_of_active(net):
-    """``_reallocate`` counts a link's unfrozen flows as ``len(link.flows)``,
-    which is only right while every flow on a link is an active one.
-    Drive every way a flow enters or leaves the fabric and check it after
-    each call and each simulation event."""
+    """``_solve`` counts a link's unfrozen flows as ``len(link.flows)``,
+    which is only right while every flow on a link is an active one, and
+    scans the maintained in-use list, which must hold exactly the links
+    active flows cross, in name order.  Drive every way a flow enters or
+    leaves the fabric and check both after each call and each simulation
+    event."""
     sim, network = net
     network.admission = AdmissionController(
         AdmissionConfig(repair_rate=100.0, repair_burst=100.0, repair_floor=1.0)
@@ -158,6 +174,12 @@ def test_link_flows_stay_a_subset_of_active(net):
         for flow in network.active:
             assert all(flow in link.flows for link in flow.path)
         assert not network._pending & network.active
+        in_use = sorted(
+            {link for flow in network.active for link in flow.path},
+            key=lambda link: link.name,
+        )
+        assert network._in_use == in_use
+        assert network._in_use_names == [link.name for link in in_use]
 
     def chained(flow):  # a completion that starts the next hop's flow
         network.start_flow(links[2:], 50.0, src="b", dst="c")
@@ -191,7 +213,7 @@ def test_link_flows_stay_a_subset_of_active(net):
         events += 1
         check()
     assert events > 5 and not network.active and not network._pending
-    assert all(not link.flows for link in links)
+    assert all(not link.flows for link in links) and not network._in_use
 
 
 def count_solves(monkeypatch, network):
