@@ -36,6 +36,11 @@ class PlanError(ReproError):
     """A repair plan is malformed or cannot be built."""
 
 
+class AggregationError(ReproError):
+    """A partial contribution does not fit a node's aggregation: unknown
+    sender, slice geometry off the slicing rule, or a row out of range."""
+
+
 class SimulationError(ReproError):
     """Discrete-event simulation entered an invalid state."""
 

@@ -148,6 +148,9 @@ class PartialPayload:
     buffers: "Dict[int, np.ndarray]"
     #: Which pipeline slice this payload carries (0 when unsliced).
     slice_index: int = 0
+    #: Bytes per whole row (STREAM_BEGIN's ``row_len``): how a node
+    #: without a local chunk learns the slicing.
+    row_len: int = 0
 
 
 @dataclass

@@ -6,7 +6,10 @@ client).  Two task types implement the paper's repair execution paths:
 * :class:`PartialAggregationTask` — the PPR protocol of §6.2 at one node:
   read + scale the local chunk (overlapping disk IO with network, §6.3),
   XOR in downstream partials as they arrive, and forward the aggregate to
-  the upstream peer (or finish, at the repair site).
+  the upstream peer (or finish, at the repair site).  Merge, slice
+  readiness and assembly are :class:`~repro.repair.aggregate.Aggregation`,
+  the same core the live chunk server drives; this task only schedules
+  them in virtual time.
 * :class:`RawCollectionTask` — traditional/staggered repair at the
   destination: fetch raw rows from every helper (all at once or serially)
   and decode centrally.
@@ -17,7 +20,7 @@ verifiable; all timing uses modeled byte counts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from repro.fs.messages import (
     RawPayload,
     compute_partial,
 )
-from repro.codes.recipe import RepairRecipe
+from repro.repair.aggregate import LOCAL, Aggregation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fs.cluster import StorageCluster
@@ -95,25 +98,12 @@ class StorageNode:
 
 
 def _partial_modeled_bytes(
-    partial: "Dict[int, np.ndarray]", rows: int, chunk_size: float,
-    num_slices: int,
+    rows_held: "Set[int]", rows: int, chunk_size: float, num_slices: int
 ) -> float:
-    """Modeled bytes one slice of a partial map occupies in memory."""
-    if not partial:
+    """Modeled bytes one slice of a partial with ``rows_held`` occupies."""
+    if not rows_held:
         return 0.0
-    return len(partial) / rows * chunk_size / num_slices
-
-
-def _slice_view(
-    buffers: "Dict[int, np.ndarray]", num_slices: int, index: int
-) -> "Dict[int, np.ndarray]":
-    """Slice ``index`` of every row buffer (consistent integer bounds)."""
-    out: "Dict[int, np.ndarray]" = {}
-    for row, buf in buffers.items():
-        lo = buf.size * index // num_slices
-        hi = buf.size * (index + 1) // num_slices
-        out[row] = buf[lo:hi].copy()
-    return out
+    return len(rows_held) / rows * chunk_size / num_slices
 
 
 class PartialAggregationTask:
@@ -123,7 +113,10 @@ class PartialAggregationTask:
     into S slices that flow through the plan independently, so a node
     forwards slice ``s`` as soon as its own read and every child's slice
     ``s`` are in — the repair-pipelining extension.  ``S == 1`` reproduces
-    the paper's store-and-forward PPR exactly.
+    the paper's store-and-forward PPR exactly.  The bytes live in an
+    :class:`~repro.repair.aggregate.Aggregation`; this shell schedules the
+    reads, compute and transfers in virtual time and keeps the §4.3
+    modeled-buffer account.
     """
 
     def __init__(
@@ -136,14 +129,11 @@ class PartialAggregationTask:
         self.context = context
         self.request = request
         self.slices = max(1, request.num_slices)
-        #: per-slice accumulated partial: slice -> {lost_row -> buffer}.
-        self.partial: "List[Dict[int, np.ndarray]]" = [
-            {} for _ in range(self.slices)
-        ]
-        self.expected_per_slice = len(request.children) + (
-            1 if request.chunk_id else 0
+        self.agg = Aggregation(
+            request.rows, self.slices, request.children, bool(request.chunk_id)
         )
-        self.received = [0] * self.slices
+        #: Per slice, the rows held: what the modeled buffer bytes count.
+        self.slice_rows: "List[Set[int]]" = [set() for _ in range(self.slices)]
         self.completed_slices = 0
         self.done = False
         self._local_partial: "Optional[Dict[int, np.ndarray]]" = None
@@ -159,7 +149,7 @@ class PartialAggregationTask:
         self.context.send_leaf_requests(self.node.node_id)
         if req.chunk_id is not None:
             self._begin_local_reads()
-        if self.expected_per_slice == 0:
+        if not self.agg.contributors:
             for index in range(self.slices):
                 self._slice_complete(index)
 
@@ -206,6 +196,7 @@ class PartialAggregationTask:
             self._local_partial = compute_partial(
                 req.entries, req.rows, chunk.payload
             )
+            self.agg.set_row_len(chunk.payload.size // req.rows)
         return self._local_partial
 
     def _local_slice_ready(self, index: int) -> None:
@@ -224,21 +215,8 @@ class PartialAggregationTask:
                 node_id=self.node.node_id,
                 op="multiply",
             )
-            local = _slice_view(
-                self._ensure_local_partial(), self.slices, index
-            )
-            req2 = self.request
-            before = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
-            self.partial[index] = RepairRecipe.merge_partials(
-                self.partial[index], local
-            )
-            after = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
-            self.context.note_buffer(self.node.node_id, after - before)
-            self._input_done(index)
+            local = self._ensure_local_partial()
+            self._merge(LOCAL, index, self.agg.segments(index, local), 0.0)
 
         self.node.schedule_compute(duration, on_multiplied)
 
@@ -268,27 +246,30 @@ class PartialAggregationTask:
                 op="xor",
                 nbytes=nbytes,
             )
-            req2 = self.request
-            before = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
-            self.partial[index] = RepairRecipe.merge_partials(
-                self.partial[index], payload.buffers
-            )
-            after = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
+            self.agg.set_row_len(payload.row_len)
             # The receive buffer is folded into the partial.
-            self.context.note_buffer(
-                self.node.node_id, (after - before) - nbytes
-            )
-            self._input_done(index)
+            self._merge(payload.sender, index, payload.buffers, nbytes)
 
         self.node.schedule_compute(duration, on_xored)
 
-    def _input_done(self, index: int) -> None:
-        self.received[index] += 1
-        if self.received[index] == self.expected_per_slice:
+    def _merge(
+        self,
+        sender: "Optional[str]",
+        index: int,
+        buffers: "Dict[int, np.ndarray]",
+        received: float,
+    ) -> None:
+        """Merge one contribution to slice ``index``; ``received`` modeled
+        bytes of receive buffer are released into the partial."""
+        req = self.request
+        held = self.slice_rows[index]
+        before = _partial_modeled_bytes(held, req.rows, req.chunk_size, self.slices)
+        if not self.agg.merge(sender, index, index, buffers):
+            return
+        held.update(buffers)
+        after = _partial_modeled_bytes(held, req.rows, req.chunk_size, self.slices)
+        self.context.note_buffer(self.node.node_id, (after - before) - received)
+        if self.agg.ready(index):
             self._slice_complete(index)
 
     # -- completion ------------------------------------------------------
@@ -300,8 +281,9 @@ class PartialAggregationTask:
             payload = PartialPayload(
                 repair_id=req.repair_id,
                 sender=self.node.node_id,
-                buffers=self.partial[index],
+                buffers=self.agg.segments(index),
                 slice_index=index,
+                row_len=self.agg.row_len,
             )
             self.context.start_transfer(
                 src=self.node.node_id,
@@ -312,7 +294,7 @@ class PartialAggregationTask:
             self.context.note_buffer(
                 self.node.node_id,
                 -_partial_modeled_bytes(
-                    self.partial[index], req.rows, req.chunk_size, self.slices
+                    self.slice_rows[index], req.rows, req.chunk_size, self.slices
                 ),
             )
         self.completed_slices += 1
@@ -322,21 +304,8 @@ class PartialAggregationTask:
         self.node.tasks.pop(req.repair_id, None)
         self.node.task_finished(req.repair_id)
         if req.parent is None:
-            # This node is the repair destination: stitch slices back.
-            rows: "Dict[int, np.ndarray]" = {}
-            row_keys = set()
-            for piece in self.partial:
-                row_keys.update(piece.keys())
-            for row in row_keys:
-                rows[row] = np.concatenate(
-                    [
-                        piece[row]
-                        for piece in self.partial
-                        if row in piece
-                    ]
-                )
-            chunk_payload = self.context.recipe.assemble(rows)
-            self.context.finish_at_destination(self.node, chunk_payload)
+            # This node is the repair destination.
+            self.context.finish_at_destination(self.node, self.agg.assemble())
 
 
 class RawCollectionTask:

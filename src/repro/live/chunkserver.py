@@ -21,7 +21,10 @@ execution paths over sockets:
   the star/staggered destination role — pull raw rows from every helper
   over TCP (concurrently or one at a time) and decode centrally.
 
-Segments are deduplicated by (sender, slice).  No stream can outrun its
+Merge, dedup by (sender, slice), slice readiness and assembly are the
+:class:`~repro.repair.aggregate.Aggregation` core the simulator drives
+too; it rejects a DATA segment whose offset, length or row does not fit
+the slicing rule, and the END ack then fails.  No stream can outrun its
 plan: the coordinator installs every non-leaf plan before any leaf gets
 one, and a helper opens its stream only once its slice 0 is ready, so a
 BEGIN for a repair with no plan here is stale and is dropped.
@@ -37,6 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import (
+    AggregationError,
     ChunkNotFoundError,
     LiveRepairError,
     RepairAbortedError,
@@ -52,7 +56,7 @@ from repro.fs.messages import (
     recipe_from_wire,
 )
 from repro.live import trace
-from repro.live.config import LiveConfig
+from repro.live.config import TELEMETRY_CAPACITY, LiveConfig
 from repro.live.rpc import (
     Address,
     InboundStream,
@@ -61,7 +65,7 @@ from repro.live.rpc import (
     StreamInbox,
     StreamSender,
 )
-from repro.live.wire import Frame, MessageType, slice_bounds
+from repro.live.wire import Frame, MessageType
 from repro.obs import causal, profiler
 from repro.obs.anomaly import Anomaly, AnomalyEngine, StalledStreamDetector
 from repro.obs.collector import TelemetryShipper
@@ -70,6 +74,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Histogram
 from repro.obs.timeseries import Sampler, TimeSeriesStore
 from repro.qos.admission import FOREGROUND, REPAIR, TokenBucket
+from repro.repair.aggregate import LOCAL, Aggregation
 from repro.qos.slo import QOS_BUCKETS, LatencyReservoir
 from repro.sim.metrics import PHASES
 
@@ -86,13 +91,14 @@ class LiveChunk:
 
 @dataclass
 class _PartialTask:
-    """Per-repair aggregation state at one server (§6.2, live edition)."""
+    """Per-repair aggregation state at one server (§6.2, live edition):
+    the bytes live in :attr:`agg`; this shell adds the asyncio events,
+    the stream-END bookkeeping and the trace records."""
 
     request: PartialOpRequest
     peers: "Dict[str, Address]"
-    partial: "Dict[int, np.ndarray]" = field(default_factory=dict)
+    #: Children whose stream ENDed cleanly (every slice merged).
     received: "Set[str]" = field(default_factory=set)
-    local_done: bool = False
     trace: "List[trace.TraceRecord]" = field(default_factory=list)
     traffic: "List[trace.TrafficRecord]" = field(default_factory=list)
     inputs_ready: asyncio.Event = field(default_factory=asyncio.Event)
@@ -107,50 +113,45 @@ class _PartialTask:
     #: depends on it, encoding the ingress-link serialization that makes
     #: Theorem 1's step count observable in a stitched DAG.
     last_net_gid: "Optional[str]" = None
-    #: Bytes per partial row, learned from the local chunk or the first
-    #: STREAM_BEGIN.
-    row_len: int = 0
-    #: Per-slice set of child senders whose segment has been GF-merged:
-    #: what dedups a repeated segment and what the END ack checks for
-    #: completeness.
-    slice_got: "Dict[int, Set[str]]" = field(default_factory=dict)
-    #: Per-slice readiness events — slice ``i`` is ready once the local
-    #: partial is in and every child's segment ``i`` is merged.
+    #: Per-slice readiness events, set once ``agg.ready(i)``.
     slice_events: "Dict[int, asyncio.Event]" = field(default_factory=dict)
+    agg: Aggregation = field(init=False)
+
+    def __post_init__(self) -> None:
+        req = self.request
+        self.agg = Aggregation(
+            req.rows, req.num_slices, req.children, req.chunk_id is not None
+        )
 
     @property
     def num_slices(self) -> int:
         return self.request.num_slices
 
     @property
-    def expected_inputs(self) -> int:
-        return len(self.request.children) + (
-            1 if self.request.chunk_id is not None else 0
-        )
-
-    @property
     def inputs_complete(self) -> bool:
-        done = len(self.received) + (1 if self.local_done else 0)
-        return done >= self.expected_inputs
+        # Every child ENDed (all its slices merged) and the local partial,
+        # merged over every slice at once, is in.
+        ended = len(self.received) == len(self.request.children)
+        return ended and self.agg.ready(self.num_slices - 1)
 
-    def _check_ready(self) -> None:
+    def merge(
+        self,
+        sender: "Optional[str]",
+        first: int,
+        last: int,
+        buffers: "Dict[int, np.ndarray]",
+        offset: "Optional[int]" = None,
+    ) -> bool:
+        """:meth:`Aggregation.merge`, then wake the slices it completed."""
+        if not self.agg.merge(sender, first, last, buffers, offset):
+            return False
+        for index in range(first, last + 1):
+            event = self.slice_events.get(index)
+            if event is not None and self.agg.ready(index):
+                event.set()
         if self.inputs_complete:
             self.inputs_ready.set()
-
-    def add_local(self, partial: "Dict[int, np.ndarray]") -> None:
-        """XOR the local partial into the aggregate in place; the task
-        owns ``compute_partial``'s output, so a row's first contribution
-        is adopted."""
-        for row, buf in partial.items():
-            mine = self.partial.get(row)
-            if mine is None:
-                self.partial[row] = buf
-            else:
-                np.bitwise_xor(mine, buf, out=mine)
-        self.local_done = True
-        self._check_ready()
-        for index in range(self.num_slices):
-            self._refresh_slice(index)
+        return True
 
     def add_remote(
         self,
@@ -165,85 +166,17 @@ class _PartialTask:
         self.received.add(sender)
         self.trace.extend(sub_trace)
         self.traffic.extend(sub_traffic)
-        self._check_ready()
+        if self.inputs_complete:
+            self.inputs_ready.set()
         return True
-
-    def set_row_len(self, row_len: int) -> None:
-        """Learn (or validate) the per-row byte length for this repair."""
-        if row_len < 1:
-            raise StreamError(f"bad row_len {row_len}")
-        if self.row_len == 0:
-            self.row_len = row_len
-        elif self.row_len != row_len:
-            raise StreamError(
-                f"row_len mismatch for {self.request.repair_id}: "
-                f"{self.row_len} != {row_len}"
-            )
 
     def slice_event(self, index: int) -> asyncio.Event:
         event = self.slice_events.get(index)
         if event is None:
-            event = asyncio.Event()
-            self.slice_events[index] = event
-            self._refresh_slice(index)
+            event = self.slice_events[index] = asyncio.Event()
+            if self.agg.ready(index):
+                event.set()
         return event
-
-    def slice_ready(self, index: int) -> bool:
-        """Whether the local partial and every child's segment are in."""
-        if self.request.chunk_id is not None and not self.local_done:
-            return False
-        return self.slice_got.get(index, set()) >= set(self.request.children)
-
-    def _refresh_slice(self, index: int) -> None:
-        """Set slice ``index``'s event once every contributor is in."""
-        if self.slice_ready(index):
-            self.slice_event(index).set()
-
-    def merge_segment(
-        self,
-        sender: str,
-        slice_index: int,
-        offset: int,
-        buffers: "Dict[int, np.ndarray]",
-    ) -> bool:
-        """GF-merge one arriving segment in place; False on a duplicate.
-
-        Segments XOR straight into this node's accumulation rows at
-        ``[offset, offset + len)`` — the child's data is consumed as it
-        arrives and never buffered whole.  A segment that is a whole row
-        and that row's first contribution is adopted instead: a received
-        frame owns its writable buffers.
-        """
-        if sender not in self.request.children:
-            raise StreamError(
-                f"{sender} is not a child in repair {self.request.repair_id}"
-            )
-        if not 0 <= slice_index < self.num_slices:
-            raise StreamError(
-                f"slice {slice_index} out of range for "
-                f"{self.num_slices}-slice repair {self.request.repair_id}"
-            )
-        got = self.slice_got.setdefault(slice_index, set())
-        if sender in got:
-            return False  # duplicate segment: already merged
-        for row, segment in buffers.items():
-            if offset + segment.size > self.row_len:
-                raise StreamError(
-                    f"segment [{offset}, {offset + segment.size}) overruns "
-                    f"row of {self.row_len} bytes"
-                )
-            buf = self.partial.get(row)
-            if buf is None:
-                if segment.size == self.row_len:
-                    self.partial[row] = segment
-                    continue
-                buf = np.zeros(self.row_len, dtype=np.uint8)
-                self.partial[row] = buf
-            view = buf[offset : offset + segment.size]
-            np.bitwise_xor(view, segment, out=view)
-        got.add(sender)
-        self._refresh_slice(slice_index)
-        return True
 
     def abort(self) -> None:
         self.aborted = True
@@ -287,20 +220,10 @@ class LiveChunkServer:
         self.stall_stream_at_slice: "Optional[int]" = None
 
         # Doctor: flight recorder, anomaly engine and incident store.
-        self.flight: "Optional[FlightRecorder]" = (
-            FlightRecorder(
-                node=server_id,
-                capacity=self.config.flight_capacity,
-                clock=trace.now,
-            )
-            if self.config.flight_capacity > 0
-            else None
-        )
+        self.flight = FlightRecorder(node=server_id, clock=trace.now)
         self.rpc.flight = self.flight
         self.incidents = IncidentStore(
-            directory=self.config.incident_dir or None,
-            capacity=self.config.incident_capacity,
-            node=server_id,
+            directory=self.config.incident_dir or None, node=server_id
         )
         self._doctor = AnomalyEngine(cooldown=30.0)
         if self.config.stream_stall_deadline > 0:
@@ -334,9 +257,7 @@ class LiveChunkServer:
         #: Per-server time series — one store per server instance (not
         #: the process-global registry) so in-process test clusters keep
         #: each server's telemetry distinct.
-        self.telemetry = TimeSeriesStore(
-            capacity=self.config.telemetry_capacity
-        )
+        self.telemetry = TimeSeriesStore(capacity=TELEMETRY_CAPACITY)
         self._sampler = Sampler(
             self.telemetry, interval=self.config.telemetry_interval
         )
@@ -397,7 +318,6 @@ class LiveChunkServer:
                 self.telemetry,
                 hists=lambda: [self.read_latency.snapshot()],
                 health=self.health_summary,
-                max_queue=self.config.collector_queue,
             )
             if self.config.collector_enabled
             else None
@@ -435,8 +355,6 @@ class LiveChunkServer:
         self._telemetry_task = asyncio.create_task(self._telemetry_loop())
         if self.config.stream_stall_deadline > 0:
             self._watchdog_task = asyncio.create_task(self._watchdog_loop())
-        if self.config.profile_interval > 0:
-            profiler.start_wall(self.config.profile_interval)
         if self.meta_address is not None:
             await self._register_with_meta()
             self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
@@ -538,8 +456,8 @@ class LiveChunkServer:
         Cuts one delta batch, then drains the shipper's bounded queue
         in order.  A failed send leaves the batch queued for the next
         beat (at-least-once; the collector dedups by node+boot+seq); a
-        collector that stays down costs at most ``collector_queue``
-        batches of memory before drop-oldest kicks in.
+        collector that stays down costs at most the shipper's bounded
+        queue of batches before drop-oldest kicks in.
         """
         if self._shipper is None:
             return
@@ -567,14 +485,13 @@ class LiveChunkServer:
             now = trace.now()
             self._sampler.sample(now)
             flight = self.flight
-            if flight is not None:
-                flight.observe_metric("bytes.moved", self.bytes_moved, t=now)
-                flight.observe_metric(
-                    "repairs.inflight", float(len(self.tasks)), t=now
-                )
-                flight.observe_metric(
-                    "streams.inflight", float(len(self.inbox)), t=now
-                )
+            flight.observe_metric("bytes.moved", self.bytes_moved, t=now)
+            flight.observe_metric(
+                "repairs.inflight", float(len(self.tasks)), t=now
+            )
+            flight.observe_metric(
+                "streams.inflight", float(len(self.inbox)), t=now
+            )
             await asyncio.sleep(self.config.telemetry_interval)
 
     # ------------------------------------------------------------------
@@ -671,15 +588,14 @@ class LiveChunkServer:
                     **kw,
                 )
             )
-        if self.flight is not None:
-            self.flight.record(
-                "anomaly",
-                anomaly.detector,
-                t=now,
-                stream_id=stream_id,
-                src=stream.sender,
-                repair_id=stream.repair_id,
-            )
+        self.flight.record(
+            "anomaly",
+            anomaly.detector,
+            t=now,
+            stream_id=stream_id,
+            src=stream.sender,
+            repair_id=stream.repair_id,
+        )
         self._file_incident(anomaly, records=records)
         reason = (
             f"stalled stream {stream_id} from {stream.sender}: no progress "
@@ -707,7 +623,7 @@ class LiveChunkServer:
                 str(repair_id) if repair_id else None
             ),
         }
-        if frame.payload.get("flight") and self.flight is not None:
+        if frame.payload.get("flight"):
             response["flight"] = self.flight.dump()
         if frame.payload.get("profile"):
             wall = profiler.wall_profiler()
@@ -891,7 +807,7 @@ class LiveChunkServer:
         task = _PartialTask(request=request, peers=peers, ctx=causal.current())
         if request.chunk_id is not None:
             chunk = self._get_chunk(request.chunk_id)
-            task.set_row_len(chunk.payload.size // max(request.rows, 1))
+            task.agg.set_row_len(chunk.payload.size // max(request.rows, 1))
         self.tasks[request.repair_id] = task
         if request.parent is None:
             # Destination: REPAIR_RESULT collects the rebuilt chunk.
@@ -939,7 +855,9 @@ class LiveChunkServer:
         )
         if mul_gid is not None:
             task.state_deps.append(mul_gid)
-        task.add_local(partial)
+        # Whole rows covering every slice; the task owns compute_partial's
+        # output, so a row's first contribution is adopted.
+        task.merge(LOCAL, 0, request.num_slices - 1, partial)
 
     async def _wait_task(self, task: _PartialTask, event: asyncio.Event) -> None:
         """Wait on one of ``task``'s events under one timer handle (not a
@@ -974,13 +892,10 @@ class LiveChunkServer:
     async def _wait_slice(self, task: _PartialTask, index: int) -> None:
         """Wait until slice ``index`` is fully aggregated at this node."""
         await self._wait_task(task, task.slice_event(index))
-        if not task.slice_ready(index):
-            missing = set(task.request.children) - task.slice_got.get(
-                index, set()
-            )
+        if not task.agg.ready(index):
             raise LiveRepairError(
                 f"{self.server_id} still missing slice {index} from "
-                f"{sorted(missing)} for {task.request.repair_id} after "
+                f"{task.agg.missing(index)} for {task.request.repair_id} after "
                 f"{self.config.partial_wait_timeout}s"
             )
 
@@ -1013,13 +928,12 @@ class LiveChunkServer:
             for index in range(request.num_slices):
                 await self._wait_slice(task, index)
                 if index == 0:
-                    bounds = slice_bounds(task.row_len, request.num_slices)
                     await sender.begin(
                         {
                             "repair_id": request.repair_id,
                             "sender": self.server_id,
                             "num_slices": request.num_slices,
-                            "row_len": task.row_len,
+                            "row_len": task.agg.row_len,
                             "sent_at": trace.now(),
                         }
                     )
@@ -1029,11 +943,8 @@ class LiveChunkServer:
                     # exact failure mode only the stalled-stream
                     # watchdog downstream can diagnose.
                     await asyncio.Event().wait()
-                lo, hi = bounds[index], bounds[index + 1]
-                segments = {
-                    row: buf[lo:hi]
-                    for row, buf in sorted(task.partial.items())
-                }
+                lo, hi = task.agg.bounds[index], task.agg.bounds[index + 1]
+                segments = task.agg.segments(index)
                 await self._pace_repair(float(hi - lo) * len(segments))
                 await sender.data(
                     {"slice_index": index, "offset": lo}, segments
@@ -1041,7 +952,7 @@ class LiveChunkServer:
             # The END trailer carries the subtree's records, so it must
             # wait for every child's own END (buffers are already gone).
             await self._wait_for_inputs(task)
-            nbytes = trace.buffers_nbytes(task.partial)  # type: ignore[arg-type]
+            nbytes = trace.buffers_nbytes(task.agg.partial)  # type: ignore[arg-type]
             task.traffic.append(
                 trace.traffic_record(self.server_id, parent, nbytes)
             )
@@ -1057,6 +968,7 @@ class LiveChunkServer:
                 trailer["sent_deps"] = list(task.state_deps)
             await sender.end(trailer)
         except (
+            AggregationError,
             ChunkNotFoundError,
             LiveRepairError,
             RepairAbortedError,
@@ -1092,8 +1004,8 @@ class LiveChunkServer:
                     f"stream {stream.stream_id} carries {num_slices} "
                     f"slices but the plan says {task.num_slices}"
                 )
-            task.set_row_len(int(payload.get("row_len", 0)))  # type: ignore[arg-type]
-        except StreamError as exc:
+            task.agg.set_row_len(int(payload.get("row_len", 0)))  # type: ignore[arg-type]
+        except (AggregationError, StreamError) as exc:
             stream.error = exc
 
     async def _on_stream_data(self, frame: Frame) -> None:
@@ -1123,8 +1035,7 @@ class LiveChunkServer:
         if task is None:
             raise StreamError(f"repair {stream.repair_id} is not running here")
         missing = [
-            i for i in range(task.num_slices)
-            if stream.sender not in task.slice_got.get(i, ())
+            i for i, got in enumerate(task.agg.got) if stream.sender not in got
         ]
         if stream.error is None and missing:
             stream.error = StreamError(
@@ -1162,8 +1073,8 @@ class LiveChunkServer:
         offset = int(payload["offset"])  # type: ignore[arg-type]
         nbytes = trace.buffers_nbytes(frame.buffers)  # type: ignore[arg-type]
         merge_start = trace.now()
-        merged = task.merge_segment(
-            stream.sender, slice_index, offset, frame.buffers
+        merged = task.merge(
+            stream.sender, slice_index, slice_index, frame.buffers, offset
         )
         if not merged:
             return  # duplicate segment
@@ -1256,20 +1167,7 @@ class LiveChunkServer:
         finally:
             self.tasks.pop(repair_id, None)
         assemble_start = trace.now()
-        if not task.partial:
-            raise LiveRepairError(
-                f"destination {self.server_id} holds no partial rows for "
-                f"{repair_id}"
-            )
-        if request.rows == 1 and 0 in task.partial:
-            # The one aggregated row is the chunk; the task owns it.
-            chunk_payload = task.partial[0]
-        else:
-            row_len = task.row_len
-            chunk_payload = np.zeros(request.rows * row_len, dtype=np.uint8)
-            view = chunk_payload.reshape(request.rows, row_len)
-            for row, buf in task.partial.items():
-                view[row] = buf
+        chunk_payload = task.agg.assemble()
         asm_gid, asm_kw = self._causal_kw(task.ctx, task.state_deps)
         task.trace.append(
             self._account(

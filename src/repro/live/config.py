@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
+#: Ring capacity per telemetry series of a live node (samples retained).
+TELEMETRY_CAPACITY = 256
+
 
 @dataclass(frozen=True)
 class LiveConfig:
@@ -51,11 +54,6 @@ class LiveConfig:
     #: Wall-clock seconds between telemetry samples (each server runs a
     #: background sampling task recording into its time-series store).
     telemetry_interval: float = 0.25
-    #: Ring capacity per telemetry series (samples retained per series).
-    telemetry_capacity: int = 256
-    #: A server whose busiest repair phase exceeds this multiple of the
-    #: fleet median for that phase is flagged a straggler by HEALTH.
-    straggler_threshold: float = 3.0
     #: QoS: per-server cap on repair-class egress (partial results and
     #: raw-row replies), bytes/second.  0 disables pacing entirely;
     #: foreground GET_CHUNK traffic is never paced.
@@ -68,30 +66,15 @@ class LiveConfig:
     #: cascades so the coordinator replans.  0 disables the watchdog
     #: (recovery then falls back to the passive slice timeouts).
     stream_stall_deadline: float = 0.0
-    #: Doctor: flight-recorder ring capacity per server (recent spans,
-    #: RPC events, metric deltas).  0 disables the recorder.
-    flight_capacity: int = 256
-    #: Doctor: incident bundles retained in memory per server.
-    incident_capacity: int = 32
     #: Doctor: directory where incident-<id>.json bundles are mirrored
     #: ("" keeps them memory-only, served over the DOCTOR RPC).
     incident_dir: str = ""
-    #: Profiler: sampling period of the in-process wall-clock profiler,
-    #: seconds.  0 keeps the profiler off (the zero-overhead default).
-    profile_interval: float = 0.0
     #: Collector: when True, chunk servers (and the coordinator) push
     #: TELEMETRY batches to the meta-server-hosted collector on the
     #: heartbeat cadence.  Off by default — the collector's ingest and
     #: COLLECTOR_QUERY handlers are always registered, so a fleet can be
     #: queried the moment pushing is switched on.
     collector_enabled: bool = False
-    #: Collector: node-side bound on batches queued while the collector
-    #: is unreachable; the oldest batch is dropped (and counted) beyond
-    #: this — backpressure costs a constant amount of memory.
-    collector_queue: int = 8
-    #: Collector: raw-tier ring capacity per retained series (the
-    #: downsampled 10s/60s tiers are sized by obs.rollup.DEFAULT_TIERS).
-    collector_capacity: int = 512
 
     def __post_init__(self) -> None:
         for name in (
@@ -104,12 +87,9 @@ class LiveConfig:
             "heartbeat_interval",
             "failure_detection_timeout",
             "telemetry_interval",
-            "straggler_threshold",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0")
-        if self.telemetry_capacity < 1:
-            raise ConfigurationError("telemetry_capacity must be >= 1")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if self.max_attempts < 1:
@@ -122,13 +102,3 @@ class LiveConfig:
             raise ConfigurationError("repair_burst_bytes must be > 0")
         if self.stream_stall_deadline < 0:
             raise ConfigurationError("stream_stall_deadline must be >= 0")
-        if self.flight_capacity < 0:
-            raise ConfigurationError("flight_capacity must be >= 0")
-        if self.incident_capacity < 1:
-            raise ConfigurationError("incident_capacity must be >= 1")
-        if self.profile_interval < 0:
-            raise ConfigurationError("profile_interval must be >= 0")
-        if self.collector_queue < 1:
-            raise ConfigurationError("collector_queue must be >= 1")
-        if self.collector_capacity < 1:
-            raise ConfigurationError("collector_capacity must be >= 1")

@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.fs.messages import recipe_to_wire
 from repro import obs
 from repro.live import trace
-from repro.live.config import LiveConfig
+from repro.live.config import TELEMETRY_CAPACITY, LiveConfig
 from repro.live.rpc import Address, RpcClientPool
 from repro.live.wire import Frame, MessageType
 from repro.obs import causal
@@ -124,15 +124,12 @@ class LiveCoordinator:
         self.repair_latency = Histogram(
             "live.repair.latency", {"node": "coordinator"}, QOS_BUCKETS
         )
-        self.telemetry = TimeSeriesStore(
-            capacity=self.config.telemetry_capacity
-        )
+        self.telemetry = TimeSeriesStore(capacity=TELEMETRY_CAPACITY)
         self._shipper: "Optional[TelemetryShipper]" = (
             TelemetryShipper(
                 "coordinator",
                 self.telemetry,
                 hists=lambda: [self.repair_latency.snapshot()],
-                max_queue=self.config.collector_queue,
             )
             if self.config.collector_enabled
             else None

@@ -27,7 +27,7 @@ from repro.fs.messages import Heartbeat
 from repro.fs.metaserver import heartbeat_is_stale
 from repro import obs
 from repro.live import trace
-from repro.live.config import LiveConfig
+from repro.live.config import TELEMETRY_CAPACITY, LiveConfig
 from repro.live.rpc import Address, RpcServer
 from repro.obs import causal
 from repro.obs.anomaly import (
@@ -40,6 +40,11 @@ from repro.obs.collector import TelemetryCollector, TelemetryShipper
 from repro.obs.doctor import IncidentStore
 from repro.live.wire import Frame, MessageType
 from repro.obs.timeseries import Sampler, TimeSeriesStore
+
+#: A server whose busiest repair phase exceeds this multiple of the fleet
+#: median for that phase is flagged a straggler (HEALTH may override it
+#: per call).
+STRAGGLER_THRESHOLD = 3.0
 
 
 class LiveMetaServer:
@@ -58,9 +63,7 @@ class LiveMetaServer:
         self.chunk_locations: "Dict[str, str]" = {}
         self._telemetry_task: "Optional[asyncio.Task[None]]" = None
         #: Fleet-level time series, sampled on the wall clock.
-        self.telemetry = TimeSeriesStore(
-            capacity=self.config.telemetry_capacity
-        )
+        self.telemetry = TimeSeriesStore(capacity=TELEMETRY_CAPACITY)
         self._sampler = Sampler(
             self.telemetry, interval=self.config.telemetry_interval
         )
@@ -82,28 +85,19 @@ class LiveMetaServer:
         #: here; COLLECTOR_QUERY serves the cockpit from this one place.
         #: Always hosted (ingest is cheap and idempotent); whether nodes
         #: push is their own ``collector_enabled`` knob.
-        self.collector = TelemetryCollector(
-            raw_capacity=self.config.collector_capacity
-        )
+        self.collector = TelemetryCollector()
         #: The meta-server ships its own series into the collector
         #: in-process — same shipper code path as remote nodes, no wire.
-        self._collector_shipper = TelemetryShipper(
-            "meta",
-            self.telemetry,
-            max_queue=self.config.collector_queue,
-        )
+        self._collector_shipper = TelemetryShipper("meta", self.telemetry)
         self._collector_last_ship = 0.0
 
         # Doctor: fleet-level anomaly detection (stragglers) + incidents.
         self.incidents = IncidentStore(
-            directory=self.config.incident_dir or None,
-            capacity=self.config.incident_capacity,
-            node="meta",
+            directory=self.config.incident_dir or None, node="meta"
         )
         self._doctor = AnomalyEngine(cooldown=30.0).add(
             StragglerDetector(
-                lambda: self.last_health,
-                threshold=self.config.straggler_threshold,
+                lambda: self.last_health, threshold=STRAGGLER_THRESHOLD
             )
         )
 
@@ -320,12 +314,12 @@ class LiveMetaServer:
 
         A server is flagged a straggler when any of its per-phase busy
         times exceeds ``threshold`` (default
-        ``LiveConfig.straggler_threshold``) times the fleet median for
+        :data:`STRAGGLER_THRESHOLD`) times the fleet median for
         that phase — the signature the paper's repair pipelining fights:
         one slow peer serializing the whole phase.
         """
         if threshold is None:
-            threshold = self.config.straggler_threshold
+            threshold = STRAGGLER_THRESHOLD
         now = trace.now()
         medians = self._phase_medians()
         fleet: "Dict[str, Dict[str, object]]" = {}
@@ -370,7 +364,7 @@ class LiveMetaServer:
             "threshold": (
                 float(threshold)  # type: ignore[arg-type]
                 if threshold is not None
-                else self.config.straggler_threshold
+                else STRAGGLER_THRESHOLD
             ),
             "servers": self.fleet_health(
                 float(threshold) if threshold is not None else None  # type: ignore[arg-type]

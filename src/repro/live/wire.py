@@ -63,6 +63,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ReproError, WireFormatError
+from repro.repair.aggregate import slice_bounds as slice_bounds  # the slicing rule
 
 MAGIC = b"PP"
 #: Version stamped on every emitted frame.
@@ -148,20 +149,6 @@ class Frame:
             str(self.payload.get("error", "ReproError")),
             str(self.payload.get("message", "")),
         )
-
-
-def slice_bounds(length: int, num_slices: int) -> "List[int]":
-    """Byte offsets cutting a ``length``-byte row into ``num_slices``.
-
-    Returns ``num_slices + 1`` monotone offsets starting at 0 and ending
-    at ``length``; segment ``i`` is ``[bounds[i], bounds[i+1])``.  Slices
-    differ in size by at most one byte, and rows shorter than the slice
-    count simply yield empty tail segments — both ends of a stream must
-    use this same rule, so it is part of the protocol (docs/PROTOCOL.md).
-    """
-    if num_slices < 1:
-        raise WireFormatError(f"num_slices must be >= 1, got {num_slices}")
-    return [length * i // num_slices for i in range(num_slices + 1)]
 
 
 def frame_parts(frame: Frame) -> "List[Union[bytes, memoryview]]":

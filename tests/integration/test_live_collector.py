@@ -29,7 +29,6 @@ CONFIG = LiveConfig(
     rpc_timeout=5.0,
     repair_timeout=30.0,
     collector_enabled=True,
-    collector_queue=8,
 )
 
 NUM_SERVERS = 16

@@ -14,6 +14,7 @@ import asyncio
 import pytest
 
 from repro.live import LiveCluster, LiveConfig
+from repro.live.metaserver import STRAGGLER_THRESHOLD
 from repro.live.wire import MessageType
 from repro.sim.metrics import PHASES
 
@@ -148,7 +149,7 @@ class TestMetaTelemetry:
     def test_threshold_override_flags_everyone_or_noone(self, polled):
         """The straggler threshold is a request parameter."""
         _, _, meta_health, _, _, _ = polled
-        assert meta_health["threshold"] == CONFIG.straggler_threshold
+        assert meta_health["threshold"] == STRAGGLER_THRESHOLD
 
     def test_repair_still_correct_under_polling(self, polled):
         """Telemetry polling must not perturb the repair itself."""

@@ -47,7 +47,7 @@ def make_task(children, rows, row_len, num_slices) -> _PartialTask:
         num_slices=num_slices,
     )
     task = _PartialTask(request=request, peers={})
-    task.set_row_len(row_len)
+    task.agg.set_row_len(row_len)
     return task
 
 
@@ -68,7 +68,7 @@ def begin_payload(name: str, task: _PartialTask) -> dict:
         "repair_id": "r1",
         "sender": name,
         "num_slices": task.num_slices,
-        "row_len": task.row_len,
+        "row_len": task.agg.row_len,
     }
 
 
@@ -132,7 +132,7 @@ class TestOneWayStreams:
             expected = functools.reduce(
                 np.bitwise_xor, (whole[name][r] for name in names)
             )
-            assert np.array_equal(task.partial[r], expected)
+            assert np.array_equal(task.agg.partial[r], expected)
 
 
 class TestEndChecksCompleteness:
@@ -211,4 +211,51 @@ class TestPlanlessBegin:
         assert error.code == "StreamError"
         assert dropped.value - before == 1 + num_slices
         assert open_streams == 0
-        assert not task.slice_got and not task.partial
+        assert not any(task.agg.got) and not task.agg.partial
+
+
+#: Off-rule DATA segments for one row of 16 bytes in 4 slices (slice i is
+#: bytes [4i, 4i + 4)): ``(slice_index, offset, nbytes, row)``.
+OFF_RULE_SEGMENTS = {
+    "offset_before_row": (0, -8, 4, 0),
+    "short_segment": (1, 4, 2, 0),
+    "wrong_slice_for_offset": (2, 0, 4, 0),
+    "row_past_rows": (0, 0, 4, 5),
+    "negative_row": (0, 0, 4, -1),
+}
+
+
+class TestSegmentGeometry:
+    @pytest.mark.parametrize("case", sorted(OFF_RULE_SEGMENTS))
+    def test_off_rule_segment_fails_the_end_ack(self, case):
+        """A DATA segment must be exactly its slice of a planned row; one
+        that is not is never XORed in, and the END ack fails even when
+        every other slice arrived correctly."""
+        bad_index, bad_offset, bad_len, bad_row = OFF_RULE_SEGMENTS[case]
+        task = make_task(["cs-01"], rows=1, row_len=16, num_slices=4)
+        bounds = slice_bounds(16, 4)
+
+        async def scenario(client):
+            sender = StreamSender(client, "r1/cs-01", CONFIG)
+            await sender.begin(begin_payload("cs-01", task))
+            await sender.data(
+                {"slice_index": bad_index, "offset": bad_offset},
+                {bad_row: np.full(bad_len, 0xAB, np.uint8)},
+            )
+            for i in range(4):
+                if i != bad_index:
+                    await sender.data(
+                        {"slice_index": i, "offset": bounds[i]},
+                        {0: np.ones(4, np.uint8)},
+                    )
+            with pytest.raises(RpcRemoteError) as err:
+                await sender.end({"trace": [], "traffic": []})
+            return err.value
+
+        error, open_streams = asyncio.run(with_server(scenario, task))
+        assert error.code == "AggregationError"
+        assert task.aborted and not task.received
+        assert open_streams == 0
+        assert not task.agg.got[bad_index]
+        assert 0xAB not in task.agg.partial.get(0, np.zeros(0, np.uint8))
+        assert set(task.agg.partial) <= {0}

@@ -16,6 +16,7 @@ import pytest
 
 from repro.codes.recipe import RepairRecipe
 from repro.errors import (
+    AggregationError,
     RepairAbortedError,
     RpcError,
     StreamError,
@@ -30,6 +31,7 @@ from repro.live.rpc import (
     StreamInbox,
     StreamSender,
 )
+from repro.repair.aggregate import LOCAL
 from repro.live.wire import (
     HEADER,
     SUPPORTED_VERSIONS,
@@ -196,7 +198,7 @@ def make_task(children=("cs-01", "cs-02"), num_slices=4, chunk_id=None):
         num_slices=num_slices,
     )
     task = _PartialTask(request=request, peers={})
-    task.set_row_len(16)
+    task.agg.set_row_len(16)
     return task
 
 
@@ -215,11 +217,11 @@ class TestSliceAggregation:
         ):
             for index in order:
                 lo, hi = bounds[index], bounds[index + 1]
-                assert task.merge_segment(
-                    sender, index, lo, {0: whole[0][lo:hi]}
+                assert task.merge(
+                    sender, index, index, {0: whole[0][lo:hi]}, lo
                 )
         expected = RepairRecipe.merge_partials(a, b)
-        assert np.array_equal(task.partial[0], expected[0])
+        assert np.array_equal(task.agg.partial[0], expected[0])
         # every slice is now ready (no local chunk on this node)
         for index in range(4):
             assert task.slice_event(index).is_set()
@@ -227,37 +229,37 @@ class TestSliceAggregation:
     def test_duplicate_segment_is_ignored(self):
         task = make_task(children=("cs-01",), num_slices=2)
         seg = np.arange(8, dtype=np.uint8)
-        assert task.merge_segment("cs-01", 0, 0, {0: seg})
-        before = task.partial[0].copy()
+        assert task.merge("cs-01", 0, 0, {0: seg}, 0)
+        before = task.agg.partial[0].copy()
         # The same segment again must not double-XOR.
-        assert not task.merge_segment("cs-01", 0, 0, {0: seg})
-        assert np.array_equal(task.partial[0], before)
+        assert not task.merge("cs-01", 0, 0, {0: seg}, 0)
+        assert np.array_equal(task.agg.partial[0], before)
 
     def test_unknown_sender_is_rejected(self):
         task = make_task(children=("cs-01",))
-        with pytest.raises(StreamError):
-            task.merge_segment("cs-99", 0, 0, {0: np.zeros(4, np.uint8)})
+        with pytest.raises(AggregationError):
+            task.merge("cs-99", 0, 0, {0: np.zeros(4, np.uint8)}, 0)
 
     def test_slice_index_out_of_range(self):
         task = make_task(num_slices=2)
-        with pytest.raises(StreamError):
-            task.merge_segment("cs-01", 2, 0, {0: np.zeros(4, np.uint8)})
+        with pytest.raises(AggregationError):
+            task.merge("cs-01", 2, 2, {0: np.zeros(4, np.uint8)}, 0)
 
     def test_segment_overrun_is_rejected(self):
         task = make_task()
-        with pytest.raises(StreamError):
-            task.merge_segment("cs-01", 0, 12, {0: np.zeros(8, np.uint8)})
+        with pytest.raises(AggregationError):
+            task.merge("cs-01", 0, 0, {0: np.zeros(8, np.uint8)}, 12)
 
     def test_row_len_mismatch_is_rejected(self):
         task = make_task()
-        with pytest.raises(StreamError):
-            task.set_row_len(32)
+        with pytest.raises(AggregationError):
+            task.agg.set_row_len(32)
 
     def test_slice_waits_for_all_children(self):
         task = make_task(children=("cs-01", "cs-02"), num_slices=2)
-        task.merge_segment("cs-01", 0, 0, {0: np.ones(8, np.uint8)})
+        task.merge("cs-01", 0, 0, {0: np.ones(8, np.uint8)}, 0)
         assert not task.slice_event(0).is_set()
-        task.merge_segment("cs-02", 0, 0, {0: np.ones(8, np.uint8)})
+        task.merge("cs-02", 0, 0, {0: np.ones(8, np.uint8)}, 0)
         assert task.slice_event(0).is_set()
         assert not task.slice_event(1).is_set()
 
@@ -277,13 +279,13 @@ class TestSliceAggregation:
         task = make_task(
             children=("cs-01", "cs-02"), num_slices=1, chunk_id="c0"
         )
-        task.add_local(dict(local))
-        assert task.merge_segment("cs-01", 0, 0, dict(first))
-        assert all(task.partial[r] is held[r] for r in (0, 1))
-        assert task.merge_segment("cs-02", 0, 0, dict(later))
-        assert all(task.partial[r] is held[r] for r in (0, 1))
+        assert task.merge(LOCAL, 0, 0, dict(local))
+        assert task.merge("cs-01", 0, 0, dict(first), 0)
+        assert all(task.agg.partial[r] is held[r] for r in (0, 1))
+        assert task.merge("cs-02", 0, 0, dict(later), 0)
+        assert all(task.agg.partial[r] is held[r] for r in (0, 1))
         for r in (0, 1):
-            assert np.array_equal(task.partial[r], expected[r])
+            assert np.array_equal(task.agg.partial[r], expected[r])
         assert task.slice_event(0).is_set()
         assert task.add_remote("cs-01", [], [])
         assert task.add_remote("cs-02", [], [])
@@ -295,10 +297,10 @@ class TestSliceAggregation:
         the sender's buffer is never aliased."""
         task = make_task(children=("cs-01",), num_slices=2)
         seg = np.arange(8, dtype=np.uint8)
-        assert task.merge_segment("cs-01", 0, 0, {0: seg})
-        assert task.partial[0] is not seg
-        assert np.array_equal(task.partial[0][:8], seg)
-        assert not task.partial[0][8:].any()
+        assert task.merge("cs-01", 0, 0, {0: seg}, 0)
+        assert task.agg.partial[0] is not seg
+        assert np.array_equal(task.agg.partial[0][:8], seg)
+        assert not task.agg.partial[0][8:].any()
 
 
 # ----------------------------------------------------------------------
