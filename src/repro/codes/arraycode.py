@@ -135,8 +135,7 @@ class SubGeneratorCode(ErasureCode):
         """
         return list(alive)
 
-    def repair_recipe(self, lost: int, alive: Iterable[int]) -> RepairRecipe:
-        alive_list = self._validated_alive(alive, lost=lost)
+    def _repair_recipe(self, lost: int, alive_list: "List[int]") -> RepairRecipe:
         ordered = self.helper_preference(lost, alive_list)
         sub_rows: "List[int]" = [
             i * self.rows + b for i in ordered for b in range(self.rows)

@@ -79,11 +79,33 @@ class ErasureCode(abc.ABC):
         Raises :class:`UnrecoverableError` if the survivors are not enough.
         """
 
-    @abc.abstractmethod
     def repair_recipe(
         self, lost: int, alive: Iterable[int]
     ) -> RepairRecipe:
         """The linear repair equation for chunk ``lost`` given survivors.
+
+        Solved once per ``(lost, alive)`` pattern and memoized, an
+        unrecoverable pattern too: a repair manager meets the same
+        erasure patterns over and over.
+        """
+        alive_list = self._validated_alive(alive, lost=lost)
+        key = (lost, tuple(alive_list))
+        memo = self.__dict__.setdefault("_recipes", {})
+        found = memo.get(key)
+        if found is None:
+            try:
+                found = self._repair_recipe(lost, alive_list)
+            except UnrecoverableError as exc:
+                found = exc.args
+            memo[key] = found
+        if isinstance(found, tuple):
+            raise UnrecoverableError(*found)
+        return found
+
+    @abc.abstractmethod
+    def _repair_recipe(self, lost: int, alive: "List[int]") -> RepairRecipe:
+        """Solve for :meth:`repair_recipe`; ``alive`` is validated, sorted
+        and without ``lost``.
 
         Implementations should prefer cheap equations (locality, minimal
         sub-chunk reads) when the code offers them.

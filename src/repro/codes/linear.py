@@ -92,8 +92,7 @@ class GeneratorMatrixCode(ErasureCode):
         """
         return list(alive)
 
-    def repair_recipe(self, lost: int, alive: Iterable[int]) -> RepairRecipe:
-        alive_list = self._validated_alive(alive, lost=lost)
+    def _repair_recipe(self, lost: int, alive_list: List[int]) -> RepairRecipe:
         ordered = self.helper_preference(lost, alive_list)
         rows = [self._generator.row(i) for i in ordered]
         combo = express_in_span(rows, ordered, self._generator.row(lost))

@@ -22,7 +22,7 @@ reads by ~25% versus all-row recovery.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -135,13 +135,12 @@ class RowDiagonalParityCode(SubGeneratorCode):
             symbols.append((chunk, row))
         return symbols
 
-    def repair_recipe(self, lost: int, alive: Iterable[int]) -> "RepairRecipe":
-        alive_list = self._validated_alive(alive, lost=lost)
+    def _repair_recipe(self, lost: int, alive_list: "List[int]") -> "RepairRecipe":
         alive_set = set(alive_list)
         full_helpers = set(range(self.n)) - {lost}
         if lost >= self.k or alive_set != full_helpers:
             # Parity chunks and degraded survivor sets: generic solver.
-            return super().repair_recipe(lost, alive_list)
+            return super()._repair_recipe(lost, alive_list)
 
         # Enumerate row-vs-diagonal per lost cell, minimizing distinct
         # symbols read (2^(p-1) choices; p <= 13 keeps this instant).

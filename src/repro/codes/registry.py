@@ -13,6 +13,7 @@ Understood formats (case-insensitive):
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Dict, List
 
@@ -32,6 +33,7 @@ _FACTORIES: "Dict[str, Callable[..., ErasureCode]]" = {}
 def register_code(name: str, factory: "Callable[..., ErasureCode]") -> None:
     """Register a code family under a (lower-case) name."""
     _FACTORIES[name.lower()] = factory
+    make_code.cache_clear()
 
 
 def available_codes() -> "List[str]":
@@ -44,8 +46,13 @@ _SPEC_RE = re.compile(
 )
 
 
+@functools.lru_cache(maxsize=None)
 def make_code(spec: str) -> ErasureCode:
-    """Build a code from a spec string like ``"rs(6,3)"``."""
+    """The code for a spec string like ``"rs(6,3)"``.
+
+    One shared instance per spec, so its repair recipes are solved once:
+    codes are immutable after construction.
+    """
     match = _SPEC_RE.match(spec)
     if not match:
         raise ConfigurationError(f"unparseable code spec: {spec!r}")

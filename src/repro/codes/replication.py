@@ -8,7 +8,7 @@ repairs by copying a single chunk (``1 x C`` of repair traffic, versus
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, List, Mapping
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class ReplicationCode(ErasureCode):
         chunk = np.asarray(available[indices[0]], dtype=np.uint8)
         return chunk.reshape(1, -1)
 
-    def repair_recipe(self, lost: int, alive: Iterable[int]) -> RepairRecipe:
-        alive_list = self._validated_alive(alive, lost=lost)
+    def _repair_recipe(self, lost: int, alive_list: List[int]) -> RepairRecipe:
         if not alive_list:
             raise UnrecoverableError("REP: all replicas lost")
         return whole_chunk_recipe(lost, {alive_list[0]: 1})

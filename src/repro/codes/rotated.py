@@ -23,7 +23,7 @@ any information-theoretically recoverable pattern decodes.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -196,8 +196,7 @@ class RotatedReedSolomonCode(SubGeneratorCode):
             best = tuple(best_list)
         return {b: best[b] for b in range(self._r)}
 
-    def repair_recipe(self, lost: int, alive: Iterable[int]) -> RepairRecipe:
-        alive_list = self._validated_alive(alive, lost=lost)
+    def _repair_recipe(self, lost: int, alive_list: List[int]) -> RepairRecipe:
         alive_set = set(alive_list)
         if lost < self._k:
             return self._data_repair_recipe(lost, alive_set)

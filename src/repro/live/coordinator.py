@@ -576,18 +576,13 @@ class LiveCoordinator:
         stripe_hosts = {sid for sid, _ in view.hosts.values()}
         helpers = set(helper_servers.values())
         if requested is not None:
+            # Deterministic refusals: a replan would only repeat them.
             if requested in helpers:
-                raise _AttemptFailed(
-                    LiveRepairError(
-                        f"destination {requested} hosts a helper chunk"
-                    ),
-                    set(),
+                raise LiveRepairError(
+                    f"destination {requested} hosts a helper chunk"
                 )
             if requested not in servers:
-                raise _AttemptFailed(
-                    LiveRepairError(f"unknown destination {requested}"),
-                    set(),
-                )
+                raise LiveRepairError(f"unknown destination {requested}")
             return requested, servers[requested]
         candidates = [
             sid

@@ -17,9 +17,15 @@ the next hop, costs one solve, not k or two.
 
 A solve's set-up is one pass over the links in use, which attach and
 detach keep in name order; each link holds its residual capacity and
-unfrozen-flow count in private slots.  Rounds drop exhausted links, and
-freeze a bottleneck's flows unsorted: each takes the same share off every
-link it crosses, so their order changes no float.
+unfrozen-flow count in private slots, and a flow's rate doubles as its
+frozen mark.  Rounds drop exhausted links, and freeze a bottleneck's
+flows unsorted: each takes the same share off every link it crosses, so
+their order changes no float.
+
+Settling progress adds each flow's bytes to every link on its path
+(``Link.bytes_carried``) and to the network-wide per-class total
+(``FlowNetwork.class_bytes_moved``); per-class bytes are not kept per
+link.
 
 Results are bit-identical to solving on every change.  Rates are a pure
 function of the active set, and progress is settled before each change,
@@ -72,6 +78,9 @@ class Link:
     ~3.5x below the fluid-flow bound).  With ``incast_threshold`` set, a
     link carrying ``n > threshold`` concurrent flows delivers only
     ``capacity / (1 + incast_gamma * (n - threshold))``.
+
+    ``bytes_carried`` totals every class's bytes; the per-class split is
+    network-wide (:attr:`FlowNetwork.class_bytes_moved`).
     """
 
     __slots__ = (
@@ -79,7 +88,6 @@ class Link:
         "capacity",
         "flows",
         "bytes_carried",
-        "class_bytes",
         "incast_threshold",
         "incast_gamma",
         # Progressive-filling state, valid only inside one solve.
@@ -98,8 +106,6 @@ class Link:
         self.capacity = Bandwidth.of(capacity).bytes_per_sec
         self.flows: "Set[Flow]" = set()
         self.bytes_carried = 0.0
-        #: Per-traffic-class share of ``bytes_carried`` (QoS accounting).
-        self.class_bytes: "Dict[str, float]" = {}
         self.incast_threshold = incast_threshold
         self.incast_gamma = incast_gamma
         self._residual = 0.0
@@ -354,14 +360,12 @@ class FlowNetwork:
             # (and hence byte counters) must not depend on heap layout.
             for flow in self._active:
                 moved = flow.rate * elapsed
-                flow.remaining = max(0.0, flow.remaining - moved)
-                cls = flow.traffic_class
+                left = flow.remaining - moved
+                flow.remaining = left if left > 0.0 else 0.0
                 for link in flow.path:
                     link.bytes_carried += moved
-                    link.class_bytes[cls] = (
-                        link.class_bytes.get(cls, 0.0) + moved
-                    )
                 self.total_bytes_moved += moved
+                cls = flow.traffic_class
                 self.class_bytes_moved[cls] = (
                     self.class_bytes_moved.get(cls, 0.0) + moved
                 )
@@ -394,9 +398,11 @@ class FlowNetwork:
         # goes to the first name and a rerun of the same scenario replays
         # bit-identically even within one process (the QoS fingerprint
         # tests rely on it).  The in-use list already is in that order;
-        # each link's residual and unfrozen count live in its slots.
+        # each link's residual and unfrozen count live in its slots.  A
+        # flow's rate doubles as its frozen mark: no share is -inf.
+        unsolved = -math.inf
         for flow in self._active:
-            flow.rate = 0.0
+            flow.rate = unsolved
         links = self._in_use
         for link in links:
             link._residual = (
@@ -407,7 +413,6 @@ class FlowNetwork:
             # sets together), paths repeat no link, and nothing is frozen.
             link._unfrozen = len(link.flows)
 
-        frozen: "Set[Flow]" = set()
         while links:
             # The bottleneck link is the one with the smallest equal share.
             best_link: "Optional[Link]" = None
@@ -418,12 +423,16 @@ class FlowNetwork:
                     best_share = share
                     best_link = link
             if best_link is None:
+                # Every share left is infinite: those flows get rate 0,
+                # which the completion timer reports.
+                for flow in self._active:
+                    if flow.rate == unsolved:
+                        flow.rate = 0.0
                 break
             # Freeze the bottleneck's unfrozen flows; their order is free.
             for flow in best_link.flows:
-                if flow in frozen:
+                if flow.rate != unsolved:
                     continue
-                frozen.add(flow)
                 flow.rate = best_share
                 for link in flow.path:
                     link._residual -= best_share

@@ -128,9 +128,6 @@ class EagerFlowNetwork:
                 cls = str(flow.meta.get("traffic_class", "foreground"))
                 for link in flow.path:
                     link.bytes_carried += moved
-                    link.class_bytes[cls] = (
-                        link.class_bytes.get(cls, 0.0) + moved
-                    )
                 self.total_bytes_moved += moved
                 self.class_bytes_moved[cls] = (
                     self.class_bytes_moved.get(cls, 0.0) + moved

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import LiveRepairError
 from repro.live import LiveAttempt, LiveCluster, LiveConfig
 from repro.live.wire import MessageType
@@ -294,5 +295,45 @@ class TestRequestTimeouts:
                     await cluster.repair(
                         stripe.stripe_id, lost_index=0, strategy="ppr"
                     )
+
+        asyncio.run(scenario())
+
+
+class TestImpossibleDestination:
+    def test_refused_destination_fails_once_without_replanning(self):
+        """A requested destination that can never work fails on attempt 1.
+
+        Hosting a helper chunk or being unknown to the metaserver does not
+        change between attempts, so neither refusal spends the budget.
+        """
+
+        async def scenario():
+            config = fast_config(max_attempts=3)
+            async with LiveCluster(
+                num_servers=10, config=config, payload_bytes=1152
+            ) as cluster:
+                stripe = await cluster.write_stripe("rs(6,3)")
+                await cluster.kill_server(stripe.hosts[0])
+                replans = obs.registry().counter(
+                    "live.repair.replans", stripe=stripe.stripe_id
+                )
+                before = replans.value
+                attempts = []
+                for destination, reason in (
+                    (stripe.hosts[1], "hosts a helper chunk"),
+                    ("no-such-server", "unknown destination"),
+                ):
+                    with pytest.raises(LiveRepairError) as excinfo:
+                        await cluster.repair(
+                            stripe.stripe_id,
+                            lost_index=0,
+                            strategy="ppr",
+                            destination=destination,
+                            on_attempt=attempts.append,
+                        )
+                    assert reason in str(excinfo.value)
+                    assert "attempts" not in str(excinfo.value)
+                assert not attempts
+                assert replans.value == before
 
         asyncio.run(scenario())

@@ -155,7 +155,7 @@ def run_schedule(network_cls, ops):
         "bytes": network.total_bytes_moved,
         "class_bytes": network.class_bytes_moved,
         "links": [
-            (link.name, link.bytes_carried, link.class_bytes)
+            (link.name, link.bytes_carried)
             for link in topology.all_links()
         ],
     }

@@ -89,7 +89,7 @@ def test_model_metric_drift_fails_in_both_directions(dirs):
 @pytest.mark.parametrize("name", [
     "fig1.network_s", "table1.ratio", "table2.steps",
     "redundancy_matrix.mttdl_h", "durability_comparison.loss_prob",
-    "ext_fig8_qos.p99_s",
+    "ext_fig8_qos.p99_s", "ablation_weights.total_s",
 ])
 def test_model_metric_must_match_exactly(dirs, name):
     """Deterministic model outputs: a 1e-6 relative drift fails, either

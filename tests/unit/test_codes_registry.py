@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.codes import (
+    CauchyReedSolomonCode,
     LocalReconstructionCode,
     ReedSolomonCode,
     available_codes,
@@ -57,3 +58,15 @@ def test_available_codes_lists_families():
 def test_register_custom():
     register_code("myrs", ReedSolomonCode)
     assert isinstance(make_code("myrs(4,2)"), ReedSolomonCode)
+
+
+def test_make_code_shares_one_instance_per_spec():
+    assert make_code("rs(6,3)") is make_code("rs(6,3)")
+    assert make_code("rs(6,3)") is not make_code("rs(4,2)")
+
+
+def test_register_code_replaces_a_family():
+    register_code("swapped", ReedSolomonCode)
+    assert type(make_code("swapped(4,2)")) is ReedSolomonCode
+    register_code("swapped", CauchyReedSolomonCode)
+    assert type(make_code("swapped(4,2)")) is CauchyReedSolomonCode

@@ -39,8 +39,8 @@ class TestSharedFairShare:
         # not deprioritized inside the fabric.
         assert done["fg"] == pytest.approx(2.0)
         assert done["rep"] == pytest.approx(2.0)
-        assert link.class_bytes["foreground"] == pytest.approx(100.0)
-        assert link.class_bytes["repair"] == pytest.approx(100.0)
+        assert network.class_bytes_moved["foreground"] == pytest.approx(100.0)
+        assert network.class_bytes_moved["repair"] == pytest.approx(100.0)
 
     def test_per_class_byte_accounting(self):
         sim, network = _net()

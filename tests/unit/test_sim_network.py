@@ -154,6 +154,17 @@ def test_path_that_repeats_a_link_is_rejected(net):
     assert not network.active and not link.flows and not network._in_use
 
 
+def test_flow_with_only_infinite_shares_gets_rate_zero(net):
+    """No link bounds the flow, so no round freezes it: it ends the solve
+    at rate 0, not at the solver's unsolved mark, and the completion timer
+    refuses it."""
+    sim, network = net
+    flow = network.start_flow([Link("free", float("inf"))], 100.0)
+    with pytest.raises(SimulationError, match="zero rate"):
+        sim.run()
+    assert flow.rate == 0.0
+
+
 def test_link_flows_stay_a_subset_of_active(net):
     """``_solve`` counts a link's unfrozen flows as ``len(link.flows)``,
     which is only right while every flow on a link is an active one, and

@@ -67,6 +67,7 @@ EXACT_PREFIXES = (
     "redundancy_matrix.",
     "durability_comparison.",
     "ext_fig8_qos.",
+    "ablation_weights.",
 )
 
 #: Relative drift allowed for exact metrics: a constant, not a band.
