@@ -1,14 +1,19 @@
-"""Theorem 1: measured network transfer time vs the closed form."""
+"""Theorem 1: measured network transfer time vs the closed form.
+
+Its model values are seeded-deterministic and gated exactly
+(``tools/bench_compare.py``).  Like ``bench_matrix.py`` it skips the
+pytest-benchmark timing fixture: on a shared 2-core box the same call's
+median moves by up to 1.6x from one process to the next, so a timing
+baseline would flake whatever the round count.
+"""
 
 import pytest
 
 from repro.analysis import experiments
 
 
-def test_theorem1_network_times(benchmark, save_report):
-    result = benchmark.pedantic(
-        experiments.theorem1_network_times, rounds=1, iterations=1
-    )
+def test_theorem1_network_times(save_report):
+    result = experiments.theorem1_network_times()
     save_report(result)
     for row in result.rows:
         # Simulator within 5% of k*C/B and ceil(log2(k+1))*C/B.

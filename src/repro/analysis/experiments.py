@@ -26,7 +26,7 @@ from repro.core.mppr import MPPRConfig, RepairManager
 from repro.core.single_repair import run_degraded_read, run_single_repair
 from repro.fs.cluster import StorageCluster
 from repro.repair import theory
-from repro.repair.plan import build_plan
+from repro.repair.plan import build_plan, scheme
 from repro.util.units import MIB, parse_size
 from repro.workloads.failures import crash_random_servers
 
@@ -234,8 +234,9 @@ def theorem1_network_times(
         cluster2 = StorageCluster.smallsite()
         stripe2 = cluster2.write_stripe(ReedSolomonCode(k, m), chunk_size)
         ppr = run_single_repair(cluster2, stripe2, 0, strategy="ppr")
-        pred_star = theory.traditional_transfer_time(k, chunk, bw)
-        pred_ppr = theory.ppr_transfer_time(k, chunk, bw)
+        # Theorem 1: k*C/B for the star funnel, ceil(log2(k+1))*C/B.
+        pred_star = scheme("star").steps(k) * chunk / bw
+        pred_ppr = scheme("ppr").steps(k) * chunk / bw
         rows.append(
             {
                 "k": k,

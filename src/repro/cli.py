@@ -27,7 +27,7 @@ import numpy as np
 from repro import __version__
 from repro.codes import available_codes, make_code
 from repro.errors import ReproError
-from repro.repair.plan import STRATEGIES, build_plan
+from repro.repair.plan import SCHEMES, STRATEGIES, build_plan
 from repro.repair.executor import execute_plan
 from repro.util.units import parse_bandwidth, parse_size
 
@@ -1133,7 +1133,6 @@ def _redundancy_epilog() -> str:
     """Registered schemes, codes, and placements for --help epilogs."""
     from repro.fs.placement import available_placements
     from repro.redundancy.models import available_cost_models
-    from repro.reliability.engine import SCHEMES
 
     return (
         "registered schemes:    " + ", ".join(SCHEMES) + "\n"
@@ -1314,8 +1313,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_redundancy_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    mat.add_argument("--schemes", default=",".join(
-        ("star", "staggered", "chain", "ppr")),
+    mat.add_argument("--schemes", default=",".join(STRATEGIES),
         help="comma-separated repair schemes (see epilog)")
     mat.add_argument("--codes", default="rs(6,3),lrc(6,2,2),msr(6,3),"
                      "mbr(6,3)",

@@ -10,7 +10,7 @@ truth and produces the :class:`~repro.core.results.RepairResult`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,6 +79,10 @@ class RepairContext:
         #: §4.3 accounting: modeled bytes buffered for this repair, per node.
         self._buffer_now: "Dict[str, float]" = {}
         self._buffer_peak: "Dict[str, float]" = {}
+        #: Traced sliced repairs: per open hop gid, (first start, last
+        #: end, slices seen, bytes); per node, its closed compute hops.
+        self._hops: "Dict[str, Tuple[float, float, int, float]]" = {}
+        self._computed: "Dict[str, List[str]]" = {}
 
     # ------------------------------------------------------------------
     # Lookups used by tasks
@@ -119,20 +123,76 @@ class RepairContext:
         ``breakdown`` directly so both views always agree.
         """
         self.breakdown.record(phase, start, end)
-        tracer = obs.tracer()
-        if tracer is not None:
-            tracer.record_span(
-                f"sim.phase.{phase}",
-                start,
-                end,
-                node=node_id,
-                category="sim.phase",
-                repair_id=self.repair_id,
-                trace_id=self.trace_id,
-                stripe=self.stripe.stripe_id,
-                strategy=self.strategy,
-                **attrs,
-            )
+        if obs.tracer() is not None:
+            self._span(f"sim.phase.{phase}", start, end, node_id, **attrs)
+
+    def record_slice(
+        self,
+        phase: str,
+        hop: str,
+        start: float,
+        end: float,
+        node_id: str,
+        after: "Optional[str]" = None,
+        **attrs: object,
+    ) -> None:
+        """Record one slice of a partial plan's hop ``hop`` at ``node_id``.
+
+        Unsliced, this is :meth:`record_phase`.  Sliced, the breakdown
+        takes every slice but, as in a live trace, each slice is a
+        ``sim.stream`` detail span outside the causal DAG and the hop's
+        last slice closes one ``sim.phase`` span over all of them.  That
+        span names its inputs (``gid``/``deps``), as overlapping hops
+        defeat timing inference: a transfer consumed all its sender
+        computed, a compute the hop ``after`` on its own node.
+        """
+        if self.num_slices == 1:
+            self.record_phase(phase, start, end, node_id=node_id, **attrs)
+            return
+        self.breakdown.record(phase, start, end)
+        if obs.tracer() is None:
+            return
+        self._span(f"sim.slice.{phase}", start, end, node_id, "sim.stream",
+                   **attrs)
+        gid = f"{self.repair_id}/{node_id}/{hop}"
+        first, last, seen, nbytes = self._hops.pop(gid, (start, end, 0, 0.0))
+        first, last, seen = min(first, start), max(last, end), seen + 1
+        if "nbytes" in attrs:
+            nbytes += float(attrs["nbytes"])  # type: ignore[arg-type]
+            attrs["nbytes"] = nbytes
+        if seen < self.num_slices:
+            self._hops[gid] = (first, last, seen, nbytes)
+            return
+        if phase == "network":
+            deps = list(self._computed.get(str(attrs["src"]), ()))
+        else:
+            deps = [f"{self.repair_id}/{node_id}/{after}"] if after else []
+        if phase == "compute":
+            self._computed.setdefault(node_id, []).append(gid)
+        self._span(f"sim.phase.{phase}", first, last, node_id, **attrs,
+                   gid=gid, deps=deps, slices=self.num_slices)
+
+    def _span(
+        self,
+        name: str,
+        start: float,
+        end: float,
+        node_id: str,
+        category: str = "sim.phase",
+        **attrs: object,
+    ) -> None:
+        obs.tracer().record_span(  # type: ignore[union-attr]
+            name,
+            start,
+            end,
+            node=node_id,
+            category=category,
+            repair_id=self.repair_id,
+            trace_id=self.trace_id,
+            stripe=self.stripe.stripe_id,
+            strategy=self.strategy,
+            **attrs,
+        )
 
     # ------------------------------------------------------------------
     # §4.3 memory accounting
@@ -155,12 +215,14 @@ class RepairContext:
     def start_transfer(
         self, src: str, dst: str, nbytes: float, payload: object
     ) -> None:
-        """Bulk transfer recorded into the traffic matrix + network phase."""
+        """Bulk transfer recorded into the traffic matrix + network phase
+        (one slice of a hop when the repair is sliced)."""
         start = self.cluster.sim.now
 
         def on_done(_flow) -> None:
-            self.record_phase(
+            self.record_slice(
                 "network",
+                f"network<{src}",
                 start,
                 self.cluster.sim.now,
                 node_id=dst,
@@ -262,22 +324,18 @@ class RepairContext:
             num_helpers=len(self.recipe.helpers),
             peak_buffer_bytes=self.peak_buffer_bytes(),
         )
-        tracer = obs.tracer()
-        if tracer is not None:
-            tracer.record_span(
+        if obs.tracer() is not None:
+            self._span(
                 "sim.repair",
                 self.start_time,
                 self.cluster.sim.now,
-                node=self.destination,
-                category="sim.repair",
-                repair_id=self.repair_id,
-                trace_id=self.trace_id,
-                stripe=self.stripe.stripe_id,
-                strategy=self.strategy,
+                self.destination,
+                "sim.repair",
                 kind=self.kind,
                 verified=verified,
                 cache_hits=self.cache_hits,
                 helpers=len(self.recipe.helpers),
+                slices=self.num_slices,
             )
             obs.registry().counter(
                 "sim.repairs.completed", strategy=self.strategy

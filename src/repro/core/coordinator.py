@@ -2,9 +2,10 @@
 
 This is the execution half of the Repair-Manager (§6.2): compute the
 decoding coefficients, build the communication plan for the requested
-strategy, and distribute plan commands — to the destination only (star /
-staggered, which then pulls raw chunks), or to the aggregators and the
-repair site (PPR), which forward leaf commands to their downstream peers.
+strategy, and distribute plan commands — to the destination only (raw
+plans: star / staggered, whose destination then pulls raw chunks step by
+step), or to the aggregators and the repair site (partial plans: PPR /
+chain), which forward leaf commands to their downstream peers.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ class RepairCoordinator:
             destination=destination,
             expected_payload=self.cluster.truth_payload(lost_chunk_id),
             on_complete=on_complete,
-            num_slices=num_slices,
+            # Raw plans move whole rows: slicing applies to partial plans.
+            num_slices=1 if plan.raw else num_slices,
         )
         self.cluster.register_repair(context)
 
@@ -187,10 +189,10 @@ class RepairCoordinator:
             context.record_phase(
                 "plan", plan_start, self.cluster.sim.now, node_id="rm"
             )
-            if strategy in ("ppr", "chain"):
-                self._distribute_partial(context, plan)
+            if plan.raw:
+                self._start_raw(context, plan)
             else:
-                self._start_raw(context, staggered=(strategy == "staggered"))
+                self._distribute_partial(context, plan)
 
         if obs.tracer() is not None:
             # Bind this repair's causal context so every event transitively
@@ -310,13 +312,13 @@ class RepairCoordinator:
             )
 
     # ------------------------------------------------------------------
-    # Traditional / staggered
+    # Raw plans (star / staggered)
     # ------------------------------------------------------------------
-    def _start_raw(self, context: RepairContext, staggered: bool) -> None:
+    def _start_raw(self, context: RepairContext, plan: RepairPlan) -> None:
         self.plan_messages.append(1)
         node = self.cluster.node(context.destination)
 
         def begin() -> None:
-            RawCollectionTask(node, context, staggered=staggered)
+            RawCollectionTask(node, context, plan)
 
         self.cluster.send_control(context.destination, begin)

@@ -18,7 +18,7 @@ class RepairResult:
 
     repair_id: str
     kind: str  # "repair" or "degraded_read"
-    strategy: str  # "star" | "staggered" | "ppr"
+    strategy: str  # a repro.repair.plan.STRATEGIES name
     code_name: str
     stripe_id: str
     lost_index: int

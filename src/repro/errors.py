@@ -36,6 +36,11 @@ class PlanError(ReproError):
     """A repair plan is malformed or cannot be built."""
 
 
+class UnknownSchemeError(PlanError, ConfigurationError, ValueError):
+    """A repair-scheme name has no row in :data:`repro.repair.plan.SCHEMES`
+    (each entry point's own error type: plan, configuration or value)."""
+
+
 class AggregationError(ReproError):
     """A partial contribution does not fit a node's aggregation: unknown
     sender, slice geometry off the slicing rule, or a row out of range."""

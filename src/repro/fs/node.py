@@ -10,9 +10,9 @@ client).  Two task types implement the paper's repair execution paths:
   readiness and assembly are :class:`~repro.repair.aggregate.Aggregation`,
   the same core the live chunk server drives; this task only schedules
   them in virtual time.
-* :class:`RawCollectionTask` — traditional/staggered repair at the
-  destination: fetch raw rows from every helper (all at once or serially)
-  and decode centrally.
+* :class:`RawCollectionTask` — a raw plan (star/staggered) at the
+  destination: fetch raw rows from every helper, one plan step at a
+  time, and decode centrally.
 
 All bulk payloads are real numpy buffers, so every reconstruction is
 verifiable; all timing uses modeled byte counts.
@@ -36,6 +36,7 @@ from repro.repair.aggregate import LOCAL, Aggregation
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fs.cluster import StorageCluster
     from repro.core.context import RepairContext
+    from repro.repair.plan import RepairPlan
 
 
 class StorageNode:
@@ -169,7 +170,8 @@ class PartialAggregationTask:
             def on_read_done(index: int = index, start: float = start) -> None:
                 if index == self.slices - 1:
                     chunkserver.fill_cache(req.chunk_id)  # type: ignore[attr-defined]
-                self.context.record_phase(
+                self.context.record_slice(
+                    "disk_read",
                     "disk_read",
                     start,
                     self.node.sim.now,
@@ -208,11 +210,13 @@ class PartialAggregationTask:
         def on_multiplied() -> None:
             if self.done or not self.node.alive:
                 return  # the server died under us; the RM will reschedule
-            self.context.record_phase(
+            self.context.record_slice(
                 "compute",
+                "multiply",
                 compute_start,
                 self.node.sim.now,
                 node_id=self.node.node_id,
+                after="disk_read",
                 op="multiply",
             )
             local = self._ensure_local_partial()
@@ -238,11 +242,13 @@ class PartialAggregationTask:
         def on_xored() -> None:
             if self.done or not self.node.alive:
                 return
-            self.context.record_phase(
+            self.context.record_slice(
                 "compute",
+                f"xor<{payload.sender}",
                 start,
                 self.node.sim.now,
                 node_id=self.node.node_id,
+                after=f"network<{payload.sender}",
                 op="xor",
                 nbytes=nbytes,
             )
@@ -309,19 +315,23 @@ class PartialAggregationTask:
 
 
 class RawCollectionTask:
-    """Traditional (star) or staggered repair at the destination."""
+    """A raw plan (star, staggered) at the destination: each plan step's
+    fetches go out once the previous step's have all arrived."""
 
     def __init__(
         self,
         node: StorageNode,
         context: "RepairContext",
-        staggered: bool,
+        plan: "RepairPlan",
     ):
         self.node = node
         self.context = context
-        self.staggered = staggered
         self.raw: "Dict[int, Dict[int, np.ndarray]]" = {}
-        self.pending: "List[int]" = list(context.recipe.helpers)
+        #: Helper chunk indices per plan step still to fetch, in order.
+        self.pending: "List[List[int]]" = [
+            [t.src for t in plan.transfers_at(step)]
+            for step in range(plan.num_steps)
+        ]
         self.outstanding = 0
         self.done = False
         node.tasks[context.repair_id] = self
@@ -329,9 +339,7 @@ class RawCollectionTask:
         self._issue_requests()
 
     def _issue_requests(self) -> None:
-        batch = self.pending[:1] if self.staggered else self.pending[:]
-        del self.pending[: len(batch)]
-        for helper_index in batch:
+        for helper_index in self.pending.pop(0):
             self.outstanding += 1
             self.context.send_raw_read(helper_index, self.node.node_id)
 
@@ -345,10 +353,11 @@ class RawCollectionTask:
             * self.context.chunk_size,
         )
         self.outstanding -= 1
+        if self.outstanding:
+            return
         if self.pending:
             self._issue_requests()
-            return
-        if self.outstanding == 0:
+        else:
             self._decode()
 
     def _decode(self) -> None:

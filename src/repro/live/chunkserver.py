@@ -1243,7 +1243,8 @@ class LiveChunkServer:
                 pass  # metadata catches up via the next repair/lookup
 
     # ------------------------------------------------------------------
-    # Star / staggered: destination pulls raw rows and decodes centrally
+    # Raw plans (star / staggered): destination pulls raw rows, one plan
+    # step at a time, and decodes centrally
     # ------------------------------------------------------------------
     async def _on_start_raw_repair(
         self, frame: Frame
@@ -1253,11 +1254,13 @@ class LiveChunkServer:
         repair_id = str(payload["repair_id"])
         stripe_id = str(payload["stripe_id"])
         recipe = recipe_from_wire(payload["recipe"])  # type: ignore[arg-type]
-        staggered = bool(payload.get("staggered", False))
-        helpers: "Dict[int, Dict[str, object]]" = {
-            int(index): dict(spec)  # type: ignore[arg-type]
-            for index, spec in dict(payload["helpers"]).items()  # type: ignore[arg-type]
-        }
+        #: plan step -> [(helper chunk index, helper spec)]
+        steps: "Dict[int, List[Tuple[int, Dict[str, object]]]]" = {}
+        for index, spec in sorted(
+            (int(i), dict(s))  # type: ignore[arg-type]
+            for i, s in dict(payload["helpers"]).items()  # type: ignore[arg-type]
+        ):
+            steps.setdefault(int(spec["step"]), []).append((index, spec))  # type: ignore[arg-type]
         task = _PartialTask(
             request=PartialOpRequest(
                 repair_id=repair_id,
@@ -1278,7 +1281,9 @@ class LiveChunkServer:
 
         raw: "Dict[int, Dict[int, np.ndarray]]" = {}
 
-        async def fetch(index: int, spec: "Dict[str, object]") -> None:
+        async def fetch(
+            index: int, spec: "Dict[str, object]", after: "List[str]"
+        ) -> "Optional[str]":
             helper_id = str(spec["server_id"])
             address = Address.from_wire(spec["address"])  # type: ignore[arg-type]
             request = RawReadRequest(
@@ -1302,10 +1307,10 @@ class LiveChunkServer:
                 for d in response.payload.get("sent_deps", [])  # type: ignore[union-attr]
                 if isinstance(d, str)
             ]
-            if staggered and task.last_net_gid is not None:
-                # Sequential fetches serialize on this node's ingress
-                # link; concurrent star fetches deliberately do not chain.
-                net_deps.append(task.last_net_gid)
+            # A step's fetches run concurrently and deliberately do not
+            # chain; each step serializes behind the previous one's
+            # arrivals on this node's ingress link.
+            net_deps.extend(after)
             net_gid, net_kw = self._causal_kw(task.ctx, net_deps)
             if net_gid is not None:
                 net_kw["sent_at"] = sent_at
@@ -1324,8 +1329,6 @@ class LiveChunkServer:
                 )
             )
             if net_gid is not None:
-                if staggered:
-                    task.last_net_gid = net_gid
                 task.state_deps.append(net_gid)
             task.trace.extend(list(response.payload.get("trace", [])))  # type: ignore[arg-type]
             task.traffic.append(
@@ -1336,15 +1339,15 @@ class LiveChunkServer:
                 )
             )
             raw[index] = response.buffers
+            return net_gid
 
         try:
-            if staggered:
-                for index in sorted(helpers):
-                    await fetch(index, helpers[index])
-            else:
-                await asyncio.gather(
-                    *(fetch(i, spec) for i, spec in sorted(helpers.items()))
+            after: "List[str]" = []
+            for step in sorted(steps):
+                gids = await asyncio.gather(
+                    *(fetch(i, spec, after) for i, spec in steps[step])
                 )
+                after = [gid for gid in gids if gid is not None]
         except RpcError as exc:
             raise LiveRepairError(
                 f"raw collection for {repair_id} failed: {exc}"

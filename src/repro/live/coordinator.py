@@ -51,7 +51,7 @@ from repro.obs.collector import TelemetryShipper
 from repro.obs.metrics import Histogram
 from repro.obs.timeseries import TimeSeriesStore
 from repro.qos.slo import QOS_BUCKETS
-from repro.repair.plan import DESTINATION, build_plan
+from repro.repair.plan import DESTINATION, RepairPlan, build_plan
 from repro.sim.metrics import PhaseBreakdown
 
 
@@ -449,7 +449,7 @@ class LiveCoordinator:
                 await outcome
 
         try:
-            if strategy in ("ppr", "chain"):
+            if not plan.raw:
                 payload, records, traffic_records = await self._with_ctx(
                     ctx,
                     self._run_partial_attempt(
@@ -470,12 +470,11 @@ class LiveCoordinator:
                     self._run_raw_attempt(
                         view,
                         lost_index,
-                        recipe,
+                        plan,
                         helper_servers,
                         dest_id,
                         dest_addr,
                         repair_id,
-                        staggered=(strategy == "staggered"),
                     ),
                 )
         except _AttemptFailed as failure:
@@ -675,26 +674,27 @@ class LiveCoordinator:
         return self._unpack_destination(response)
 
     # ------------------------------------------------------------------
-    # Star / staggered: one command to the destination, which pulls raws
+    # Raw plans (star / staggered): one command to the destination, which
+    # pulls raws step by step
     # ------------------------------------------------------------------
     async def _run_raw_attempt(
         self,
         view: _StripeView,
         lost_index: int,
-        recipe,
+        plan: RepairPlan,
         helper_servers: "Dict[int, str]",
         dest_id: str,
         dest_addr: Address,
         repair_id: str,
-        staggered: bool,
     ) -> "Tuple[np.ndarray, list, list]":
         helpers = {
-            str(index): {
-                "server_id": server_id,
-                "address": list(view.hosts[index][1].to_wire()),
-                "chunk_id": view.chunk_ids[index],
+            str(t.src): {
+                "server_id": helper_servers[t.src],
+                "address": list(view.hosts[t.src][1].to_wire()),
+                "chunk_id": view.chunk_ids[t.src],
+                "step": t.step,
             }
-            for index, server_id in helper_servers.items()
+            for t in plan.transfers
         }
         client = self.pool.get(dest_addr)
         try:
@@ -703,9 +703,8 @@ class LiveCoordinator:
                 {
                     "repair_id": repair_id,
                     "stripe_id": view.stripe_id,
-                    "recipe": recipe_to_wire(recipe),
+                    "recipe": recipe_to_wire(plan.recipe),
                     "helpers": helpers,
-                    "staggered": staggered,
                     "chunk_size": view.chunk_size,
                     "lost_chunk_id": view.chunk_ids[lost_index],
                     "lost_index": lost_index,

@@ -62,7 +62,8 @@ from .span import Span
 #: Span categories whose spans are causal work units (DAG nodes).
 PHASE_CATEGORIES = ("live.phase", "sim.phase")
 
-#: Umbrella span categories carrying per-repair metadata (strategy, helpers).
+#: Umbrella span categories carrying per-repair metadata (strategy,
+#: helpers, slices).
 UMBRELLA_CATEGORIES = ("live.repair", "sim.repair")
 
 #: Phases recognised for attribution; anything else is reported verbatim.
@@ -309,6 +310,8 @@ class RepairDag:
     clock: str
     nodes: Dict[str, DagNode]
     offsets: Dict[str, float]
+    #: Slices per transfer (repair pipelining); 1 moves whole chunks.
+    slices: int = 1
 
     @property
     def k(self) -> Optional[int]:
@@ -587,7 +590,8 @@ def stitch(
         # attributed to any repair; drop them rather than invent a DAG.
         del groups["-untraced-"]
 
-    # Umbrella spans carry repair metadata (repair_id, strategy, helpers).
+    # Umbrella spans carry repair metadata (repair_id, strategy, helpers,
+    # slices).
     meta_by_tid: Dict[str, Dict[str, object]] = {}
     for s in all_spans:
         if s.category not in UMBRELLA_CATEGORIES:
@@ -600,9 +604,10 @@ def stitch(
             val = s.attrs.get(key)
             if isinstance(val, str) and val:
                 info.setdefault(key, val)
-        helpers = s.attrs.get("helpers")
-        if isinstance(helpers, int) and helpers > 0:
-            info.setdefault("helpers", helpers)
+        for key in ("helpers", "slices"):
+            val = s.attrs.get(key)
+            if isinstance(val, int) and val > 0:
+                info.setdefault(key, val)
 
     dags: List[RepairDag] = []
     for tid, members in groups.items():
@@ -654,6 +659,7 @@ def stitch(
             if len(rids) == 1:
                 repair_id = next(iter(rids))
         helpers = info.get("helpers")
+        slices = info.get("slices", 1)
         dags.append(
             RepairDag(
                 trace_id=tid,
@@ -667,6 +673,7 @@ def stitch(
                 clock=clock,
                 nodes={n.gid: n for n in nodes},
                 offsets=dict(offsets),
+                slices=slices if isinstance(slices, int) else 1,
             )
         )
     dags.sort(

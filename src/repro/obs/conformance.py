@@ -7,20 +7,25 @@ actually ran have the critical-path structure and timing the closed forms in*
 
 Three families of checks per traced repair:
 
+Every prediction comes from the strategy's row of
+:data:`repro.repair.plan.SCHEMES`:
+
 * ``structure.transfer_depth`` — the serialized-transfer count on the
-  critical path must equal :func:`repro.repair.theory.expected_transfer_depth`
+  critical path must equal the row's unsliced ``steps(k)``
   (``ceil(log2(k+1))`` for PPR, ``k`` for star/staggered/chain — the incast
-  funnel serializes on the repair site's ingress link).  Purely structural,
-  so it holds on noisy wall clocks too — this is the check the live-mode CI
-  smoke gates on.
-* ``structure.ingress_fanin`` — a star repair must funnel all ``k`` helper
-  transfers into one node (the paper's incast argument); a PPR tree's
-  busiest ingress receives only ``ceil(log2(k+1))``.
+  funnel serializes on the repair site's ingress link); a sliced hop is
+  still one transfer.  Purely structural, so it holds on noisy wall clocks
+  too — this is the check the live-mode CI smoke gates on.
+* ``structure.ingress_fanin`` — the busiest ingress must receive the row's
+  ``fanin(k)``: a star repair funnels all ``k`` helper transfers into one
+  node (the paper's incast argument); a PPR tree's busiest ingress
+  receives only ``ceil(log2(k+1))``.
 * ``timing.network`` / ``timing.disk_read`` — when the trace metadata
   carries the modeled chunk size and bandwidths (sim recordings do), the
   seconds observed on the critical path must match the Eq. 1 terms within a
-  configurable relative tolerance: ``steps * C/B_N`` for the network term
-  (Theorem 1), ``seek + C/B_I`` for the leaf disk read.
+  configurable relative tolerance: ``steps(k, S) * C/B_N`` for the network
+  term (Theorem 1, pipelined over the repair's ``S`` slices), ``seek +
+  C/B_I`` for the leaf disk read.
 
 Checks that lack the inputs they need (unknown strategy, no bandwidth
 metadata, wall clock) are reported as ``skip`` — never silently dropped —
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.repair import theory
+from repro.repair.plan import SCHEMES
 
 from .causal import RepairDag
 
@@ -121,157 +126,91 @@ def _timing_inputs(meta: Dict[str, object]) -> "tuple":
     return chunk, net, io, seek
 
 
+def _verdict(
+    name: str, ok: bool, observed: float, predicted: float, detail: str
+) -> Check:
+    return Check(
+        name, PASS if ok else FAIL, observed=float(observed),
+        predicted=float(predicted), detail=detail,
+    )
+
+
 def check_repair(
     dag: RepairDag,
     meta: "Optional[Dict[str, object]]" = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> RepairReport:
     """Run every conformance check against one stitched repair DAG."""
-    meta = meta or {}
-    report = RepairReport(
-        trace_id=dag.trace_id,
-        repair_id=dag.repair_id,
-        strategy=dag.strategy,
-        k=dag.k,
-    )
     strategy, k = dag.strategy, dag.k
+    report = RepairReport(dag.trace_id, dag.repair_id, strategy, k)
+    checks = report.checks
+    row = SCHEMES.get(strategy) if strategy and k is not None else None
     path = dag.critical_path()
 
-    # --- structure: serialized transfer depth (Theorem 1) ----------------
-    if strategy is None or k is None:
-        report.checks.append(
-            Check(
-                "structure.transfer_depth",
-                SKIP,
-                detail="strategy or k unknown (no umbrella span in trace)",
-            )
+    # --- structure: serialized transfer depth and busiest ingress ---------
+    if row is None:
+        detail = (
+            "strategy or k unknown (no umbrella span in trace)"
+            if strategy is None or k is None
+            else f"no closed form for {strategy}"
         )
+        for name in ("structure.transfer_depth", "structure.ingress_fanin"):
+            checks.append(Check(name, SKIP, detail=detail))
     else:
-        expected = theory.expected_transfer_depth(strategy, k)
-        observed = dag.transfer_depth()
-        report.checks.append(
-            Check(
-                "structure.transfer_depth",
-                PASS if observed == expected else FAIL,
-                observed=float(observed),
-                predicted=float(expected),
-                detail=(
-                    f"{strategy} k={k}: observed {observed} serialized "
-                    f"transfer step(s), theory predicts {expected}"
-                ),
-            )
-        )
-
-    # --- structure: ingress fan-in (star incast vs tree) ------------------
-    if strategy is None or k is None:
-        report.checks.append(
-            Check(
-                "structure.ingress_fanin",
-                SKIP,
-                detail="strategy or k unknown",
-            )
-        )
-    else:
+        expected = int(row.steps(k))
+        depth = dag.transfer_depth()
+        checks.append(_verdict(
+            "structure.transfer_depth", depth == expected, depth, expected,
+            f"{strategy} k={k}: observed {depth} serialized transfer "
+            f"step(s), theory predicts {expected}",
+        ))
         node, fanin = dag.ingress_fanin()
-        if strategy == "star":
-            expected_fanin = k
-        elif strategy == "staggered":
-            expected_fanin = k
-        elif strategy == "ppr":
-            # The destination of a binomial tree receives one transfer per
-            # Theorem-1 timestep: floor(log2 k) + 1 == ceil(log2(k+1)).
-            expected_fanin = theory.ppr_timesteps(k)
-        elif strategy == "chain":
-            expected_fanin = 1
-        else:
-            expected_fanin = None
-        if expected_fanin is None:
-            report.checks.append(
-                Check(
-                    "structure.ingress_fanin",
-                    SKIP,
-                    observed=float(fanin),
-                    detail=f"no closed form for {strategy}; busiest={node}",
-                )
-            )
-        else:
-            report.checks.append(
-                Check(
-                    "structure.ingress_fanin",
-                    PASS if fanin == expected_fanin else FAIL,
-                    observed=float(fanin),
-                    predicted=float(expected_fanin),
-                    detail=(
-                        f"busiest ingress {node} received {fanin} "
-                        f"transfer(s); theory predicts {expected_fanin}"
-                    ),
-                )
-            )
+        expected = row.fanin(k)
+        checks.append(_verdict(
+            "structure.ingress_fanin", fanin == expected, fanin, expected,
+            f"busiest ingress {node} received {fanin} transfer(s); "
+            f"theory predicts {expected}",
+        ))
 
     # --- timing: Eq. 1 terms on the critical path -------------------------
-    chunk, net_bw, io_bw, io_seek = _timing_inputs(meta)
-    if strategy is None or k is None or chunk is None or net_bw is None:
-        report.checks.append(
-            Check(
-                "timing.network",
-                SKIP,
-                detail="needs strategy, k, chunk_size_bytes and "
-                "net_bandwidth_Bps in trace metadata",
-            )
-        )
+    chunk, net_bw, io_bw, io_seek = _timing_inputs(meta or {})
+    if row is None or chunk is None or net_bw is None:
+        checks.append(Check(
+            "timing.network", SKIP,
+            detail="needs strategy, k, chunk_size_bytes and "
+            "net_bandwidth_Bps in trace metadata",
+        ))
     else:
-        if strategy == "ppr":
-            predicted = theory.ppr_transfer_time(k, chunk, net_bw)
-        else:
-            predicted = theory.traditional_transfer_time(k, chunk, net_bw)
+        steps = row.steps(k, dag.slices)
+        predicted = steps * chunk / net_bw
         observed = dag.path_network_seconds(path)
-        report.checks.append(
-            Check(
-                "timing.network",
-                PASS if _within(observed, predicted, tolerance) else FAIL,
-                observed=observed,
-                predicted=predicted,
-                detail=(
-                    f"network seconds on critical path vs "
-                    f"{'Theorem 1' if strategy == 'ppr' else 'k*C/B'} "
-                    f"(tolerance {tolerance:.0%})"
-                ),
-            )
-        )
+        law = row.law if dag.slices == 1 else f"{steps:g}*C/B"
+        checks.append(_verdict(
+            "timing.network", _within(observed, predicted, tolerance),
+            observed, predicted,
+            f"network seconds on critical path vs {law} "
+            f"(tolerance {tolerance:.0%})",
+        ))
 
+    reads = [n.duration for n in path if n.phase == "disk_read"]
     if chunk is None or io_bw is None:
-        report.checks.append(
-            Check(
-                "timing.disk_read",
-                SKIP,
-                detail="needs chunk_size_bytes and io_bandwidth_Bps in "
-                "trace metadata",
-            )
-        )
+        checks.append(Check(
+            "timing.disk_read", SKIP,
+            detail="needs chunk_size_bytes and io_bandwidth_Bps in "
+            "trace metadata",
+        ))
+    elif not reads:
+        checks.append(Check(
+            "timing.disk_read", SKIP, detail="no disk_read on the critical path"
+        ))
     else:
-        reads = [n.duration for n in path if n.phase == "disk_read"]
-        if not reads:
-            report.checks.append(
-                Check(
-                    "timing.disk_read",
-                    SKIP,
-                    detail="no disk_read on the critical path",
-                )
-            )
-        else:
-            predicted = io_seek + chunk / io_bw
-            observed = max(reads)
-            report.checks.append(
-                Check(
-                    "timing.disk_read",
-                    PASS if _within(observed, predicted, tolerance) else FAIL,
-                    observed=observed,
-                    predicted=predicted,
-                    detail=f"leaf read vs Eq. 1 seek + C/B_I (tolerance "
-                    f"{tolerance:.0%})",
-                )
-            )
-
+        predicted = io_seek + chunk / io_bw
+        observed = max(reads)
+        checks.append(_verdict(
+            "timing.disk_read", _within(observed, predicted, tolerance),
+            observed, predicted,
+            f"leaf read vs Eq. 1 seek + C/B_I (tolerance {tolerance:.0%})",
+        ))
     return report
 
 

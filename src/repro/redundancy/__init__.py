@@ -29,7 +29,6 @@ from repro.redundancy.models import (
 _MATRIX_EXPORTS = (
     "DEFAULT_CODES",
     "DEFAULT_PLACEMENTS",
-    "DEFAULT_SCHEMES",
     "MarkovValidation",
     "MatrixCell",
     "MatrixConfig",
@@ -54,7 +53,6 @@ def __getattr__(name):
 __all__ = [
     "DEFAULT_CODES",
     "DEFAULT_PLACEMENTS",
-    "DEFAULT_SCHEMES",
     "CodeBackedModel",
     "MBRModel",
     "MSRModel",

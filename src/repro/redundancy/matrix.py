@@ -8,7 +8,7 @@ driver runs the PR 4 Monte Carlo reliability engine over all three axes
 at once so the levers can be compared — and composed — on one footing:
 
 * **scheme** — how a repair's transfers are arranged in time and space
-  (:data:`repro.reliability.engine.SCHEMES`),
+  (:data:`repro.repair.plan.SCHEMES`),
 * **code** — what a repair moves and survives
   (:func:`repro.redundancy.models.make_cost_model` specs: any
   registered byte-level code, or the MSR/MBR cut-set models),
@@ -35,20 +35,17 @@ from repro.analysis.experiments import ExperimentResult
 from repro.analysis.render import Table
 from repro.errors import ConfigurationError
 from repro.redundancy.models import make_cost_model
-from repro.reliability.engine import (
-    SCHEMES,
-    ReliabilityConfig,
-    ReliabilityEngine,
-)
+from repro.reliability.engine import ReliabilityConfig, ReliabilityEngine
 from repro.reliability.hierarchy import Hierarchy
 from repro.reliability.markov import markov_mttdl
 from repro.reliability.results import ReliabilityReport
 from repro.reliability.stripes import PLACEMENTS
+from repro.repair import plan
 
-#: Default axes: every repair-scheme family, the four code families
+#: Default axes: every repair scheme with a plan
+#: (:data:`repro.repair.plan.STRATEGIES`), the four code families
 #: (implemented RS/LRC, modeled MSR/MBR) at matched (k, m), and the
 #: three placement regimes.
-DEFAULT_SCHEMES = ("star", "staggered", "chain", "ppr")
 DEFAULT_CODES = ("rs(6,3)", "lrc(6,2,2)", "msr(6,3)", "mbr(6,3)")
 DEFAULT_PLACEMENTS = ("random", "copyset", "pss")
 
@@ -69,7 +66,7 @@ def cell_seed(seed: int, scheme: str, code: str, placement: str) -> int:
 class MatrixConfig:
     """One redundancy-matrix sweep: axes × per-cell engine regime."""
 
-    schemes: "Sequence[str]" = DEFAULT_SCHEMES
+    schemes: "Sequence[str]" = plan.STRATEGIES
     codes: "Sequence[str]" = DEFAULT_CODES
     placements: "Sequence[str]" = DEFAULT_PLACEMENTS
     num_stripes: int = 500
@@ -104,10 +101,7 @@ class MatrixConfig:
         if not self.schemes or not self.codes or not self.placements:
             raise ConfigurationError("every matrix axis needs >= 1 entry")
         for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ConfigurationError(
-                    f"unknown scheme {scheme!r}; pick from {SCHEMES}"
-                )
+            plan.scheme(scheme)
         for placement in self.placements:
             if placement not in PLACEMENTS:
                 raise ConfigurationError(

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List
 from repro.codes import make_code
 from repro.codes.base import ErasureCode
 from repro.errors import ConfigurationError
-from repro.repair import theory
+from repro.repair import plan, theory
 
 
 @dataclass(frozen=True)
@@ -121,19 +121,20 @@ class RepairCostModel(abc.ABC):
         """Expected single-chunk reconstruction time under ``scheme``.
 
         The generalized Eq. (1) (:func:`repro.repair.theory.
-        model_reconstruction_time`) averaged over :meth:`repair_cases`.
+        model_reconstruction_time`) averaged over :meth:`repair_cases`,
+        each case priced at the scheme's step count for its helpers.
         """
+        row = plan.scheme(scheme)
         return sum(
             case.weight
             * theory.model_reconstruction_time(
-                scheme,
+                row.steps(case.helpers, num_slices),
                 case.helpers,
                 case.traffic_chunks,
                 chunk_size,
                 io_bandwidth,
                 net_bandwidth,
                 compute_seconds_per_byte,
-                num_slices=num_slices,
             )
             for case in self.repair_cases()
         )

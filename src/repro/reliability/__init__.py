@@ -6,12 +6,7 @@ The package turns PPR's second-scale repair speedups (measured by
 operators actually buy disks for — see ``docs/RELIABILITY.md``.
 """
 
-from repro.reliability.engine import (
-    SCHEME_CONTENTION,
-    SCHEMES,
-    ReliabilityConfig,
-    ReliabilityEngine,
-)
+from repro.reliability.engine import ReliabilityConfig, ReliabilityEngine
 from repro.reliability.hierarchy import Hierarchy
 from repro.reliability.lifetimes import (
     HOURS_PER_YEAR,
@@ -40,8 +35,6 @@ __all__ = [
     "HOURS_PER_YEAR",
     "LOST",
     "PLACEMENTS",
-    "SCHEMES",
-    "SCHEME_CONTENTION",
     "STATE_NAMES",
     "ExponentialLifetime",
     "Hierarchy",

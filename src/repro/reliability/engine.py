@@ -11,8 +11,9 @@ for traditional star repair, its Theorem-1/Table-2 PPR rewrite for
 ``ppr``/``mppr``), so the second-scale models feed the year-scale one.
 
 Repairs drain through a bandwidth-limited queue: at most
-``repair_slots`` disk reconstructions run concurrently, each slowed by a
-scheme-dependent contention factor when slots are shared (PPR spreads
+``repair_slots`` disk reconstructions run concurrently, each slowed by
+the contention factor of the scheme's :data:`repro.repair.plan.SCHEMES`
+row when slots are shared (PPR spreads
 its traffic across helpers — Table 1's per-server bandwidth column — so
 concurrent PPR repairs collide less than star repairs; m-PPR's weighted
 source/destination selection barely collides at all), and disks holding
@@ -44,6 +45,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.redundancy.models import make_cost_model
+from repro.repair import plan
 from repro.reliability.hierarchy import Hierarchy
 from repro.reliability.lifetimes import (
     HOURS_PER_YEAR,
@@ -54,31 +56,6 @@ from repro.reliability.results import ReliabilityReport, TrialResult
 from repro.reliability.stripes import StripeMap
 from repro.util.units import Bandwidth, parse_size
 
-#: Repair schemes the engine can price.  ``star`` is the paper's name
-#: for traditional funnel repair (kept as an explicit axis label for the
-#: redundancy matrix); ``staggered`` spreads the same transfers over
-#: time so concurrent repairs collide less; ``chain`` pipelines the
-#: repair in ``num_slices`` slices along a helper chain (the streamed
-#: sliced-repair data path at years-scale).
-SCHEMES = ("traditional", "star", "staggered", "chain", "ppr", "mppr")
-
-#: Fractional slowdown per extra concurrently-active repair.  Calibrated
-#: against Table 1 (max per-server bandwidth: star repair funnels k
-#: chunks into one link, PPR at most ceil(log2 k) into any link) and
-#: Fig 8 (m-PPR's weighted scheduling keeps concurrent repairs off each
-#: other's helpers almost entirely).  Staggered repair serializes the
-#: same funnel into time-offset phases (fewer simultaneous collisions
-#: than star, more than PPR's tree); chain repair gives every transfer
-#: its own link, colliding about as little as m-PPR's weighted spread.
-SCHEME_CONTENTION: "Dict[str, float]" = {
-    "traditional": 0.50,
-    "star": 0.50,
-    "staggered": 0.35,
-    "chain": 0.15,
-    "ppr": 0.20,
-    "mppr": 0.05,
-}
-
 #: Queue priorities: critical stripes first.
 _PRIORITY_CRITICAL, _PRIORITY_NORMAL = 0, 1
 
@@ -88,6 +65,8 @@ class ReliabilityConfig:
     """Everything one Monte Carlo run needs, with datacenter defaults."""
 
     code: str = "rs(6,3)"
+    #: Any row of :data:`repro.repair.plan.SCHEMES`: it sets the step
+    #: count that prices a repair and the contention factor.
     scheme: str = "ppr"
     #: Stripe placement regime (:data:`repro.reliability.stripes.
     #: PLACEMENTS`): ``random``/``sss`` spread maximally; ``copyset``/
@@ -136,10 +115,7 @@ class ReliabilityConfig:
     max_backlog_samples: int = 2048
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(
-                f"unknown scheme {self.scheme!r}; pick from {SCHEMES}"
-            )
+        plan.scheme(self.scheme)
         if self.repair_jitter not in ("deterministic", "exponential"):
             raise ConfigurationError(
                 f"repair_jitter must be deterministic or exponential, "
@@ -180,7 +156,7 @@ class ReliabilityEngine:
         self.contention = (
             config.contention
             if config.contention is not None
-            else SCHEME_CONTENTION[config.scheme]
+            else plan.scheme(config.scheme).contention
         )
 
     # ------------------------------------------------------------------

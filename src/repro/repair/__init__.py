@@ -3,10 +3,11 @@
 Given a :class:`~repro.codes.recipe.RepairRecipe` (the linear equation),
 this package decides the *communication structure* of a repair:
 
-* :mod:`repro.repair.plan` — the three strategies the paper discusses:
+* :mod:`repro.repair.plan` — the scheme table and its plan builders:
   traditional **star** (all k helpers funnel into the repair site),
-  **staggered** serial transfer (§4.2's strawman), and **PPR**'s binomial
-  reduction tree finishing in ``ceil(log2(k+1))`` timesteps.
+  **staggered** serial transfer (§4.2's strawman), **PPR**'s binomial
+  reduction tree finishing in ``ceil(log2(k+1))`` timesteps, and the
+  pipelined **chain**.
 * :mod:`repro.repair.executor` — executes any plan on real buffers,
   proving distributed aggregation bit-exactly matches centralized decode.
 * :mod:`repro.repair.theory` — Theorem 1, Table 1 and Table 2 closed forms.

@@ -28,7 +28,7 @@ def execute_plan(
 
     ``chunks`` maps helper chunk index -> full chunk buffer.  Raw transfers
     (star/staggered) ship rows of the helper's chunk and the destination
-    applies the recipe; partial transfers (PPR) ship locally-combined
+    applies the recipe; partial transfers (PPR/chain) ship locally-combined
     results that merge en route.
     """
     recipe = plan.recipe
@@ -45,7 +45,7 @@ def execute_plan(
         steps=plan.num_steps,
         **({"trace_id": ctx.trace_id} if ctx is not None else {}),
     ):
-        if plan.strategy in ("star", "staggered"):
+        if plan.raw:
             return _execute_raw(plan, chunks)
         return _execute_partial(plan, chunks)
 
@@ -53,7 +53,7 @@ def execute_plan(
 def _execute_raw(
     plan: RepairPlan, chunks: Mapping[int, np.ndarray]
 ) -> np.ndarray:
-    """Star/staggered: destination gathers raw rows, then decodes centrally."""
+    """Raw plans: destination gathers raw rows, then decodes centrally."""
     recipe = plan.recipe
     received: Dict[int, np.ndarray] = {}
     for step in range(plan.num_steps):
@@ -71,7 +71,8 @@ def _execute_raw(
 def _execute_partial(
     plan: RepairPlan, chunks: Mapping[int, np.ndarray]
 ) -> np.ndarray:
-    """PPR: every node computes/merges partials; destination assembles."""
+    """Partial plans: every node computes/merges partials; destination
+    assembles."""
     recipe = plan.recipe
     # Local partial at every helper (the first-timestep scalar multiplies).
     state: Dict[int, Dict[int, np.ndarray]] = {
@@ -85,7 +86,9 @@ def _execute_partial(
         payloads = {t.src: state[t.src] for t in step_transfers}
         for transfer in step_transfers:
             if transfer.raw:
-                raise PlanError("ppr plan cannot contain raw transfers")
+                raise PlanError(
+                    f"{plan.strategy} plan mixes raw and partial transfers"
+                )
             state[transfer.dst] = RepairRecipe.merge_partials(
                 state[transfer.dst], payloads[transfer.src]
             )

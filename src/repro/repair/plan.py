@@ -1,7 +1,9 @@
 """Repair plans: the communication schedule of a reconstruction.
 
 A plan is a DAG of transfers between the recipe's helper chunks and the
-repair destination, organized into logical timesteps.  Three strategies:
+repair destination, organized into logical timesteps.  :data:`SCHEMES` at
+the bottom of this module is the one definition of a repair scheme; the
+strategies with a plan builder are:
 
 ``star``
     Traditional repair (paper §3): every helper sends its raw read rows to
@@ -19,6 +21,11 @@ repair destination, organized into logical timesteps.  Three strategies:
     transfers have distinct sources and destinations, so each link carries
     at most one (partial-)chunk per step.
 
+``chain``
+    Repair pipelining's topology (Li et al., ATC'17 — the line of
+    follow-on work the paper seeded): helpers form a path and, combined
+    with slicing, network time approaches a single C/B regardless of k.
+
 The PPR tree matches the paper's Fig. 2: with helpers ``h1..hk`` and the
 destination last, at step ``t`` the node at reversed position ``q`` with
 ``q mod 2^(t+1) == 2^t`` sends to ``q - 2^t``.
@@ -26,21 +33,15 @@ destination last, at step ``t`` the node at reversed position ``q`` with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.errors import PlanError
+from repro.errors import PlanError, UnknownSchemeError
 from repro.codes.recipe import RepairRecipe
+from repro.repair import theory
 
 #: Sentinel node id for the repair destination (repair site / client).
 DESTINATION = -1
-
-#: Known plan strategies.  "chain" is the repair-pipelining topology
-#: (Li et al., ATC'17 — the line of follow-on work the paper seeded):
-#: helpers form a path and, combined with slicing, network time approaches
-#: a single C/B regardless of k.
-STRATEGIES = ("star", "staggered", "ppr", "chain")
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,17 @@ class RepairPlan:
     num_steps: int
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise PlanError(f"unknown strategy {self.strategy!r}")
+        scheme(self.strategy, buildable=True)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def raw(self) -> bool:
+        """True when helpers ship raw rows for the destination to decode
+        centrally; False when partial results merge en route."""
+        return any(t.raw for t in self.transfers)
+
     @property
     def participants(self) -> "Tuple[int, ...]":
         """All nodes involved: helpers plus the destination sentinel."""
@@ -122,18 +128,18 @@ class RepairPlan:
     ) -> float:
         """Idealized network time on homogeneous access links.
 
-        Star: the destination ingress serializes everything.  Staggered:
-        explicit serialization — same total.  PPR: per step, transfers are
-        link-disjoint, so a step costs its largest transfer.
+        A step costs its busiest ingress link.  Star: the destination's
+        ingress serializes every transfer of its one step.  Staggered:
+        one transfer per step — the same total.  PPR and chain: within a
+        step transfers are link-disjoint, so a step costs its largest.
         """
-        if self.strategy in ("star", "staggered"):
-            inbound = sum(t.fraction for t in self.transfers if t.dst == DESTINATION)
-            return inbound * chunk_size / bandwidth_bytes_per_sec
         total = 0.0
         for step in range(self.num_steps):
-            step_transfers = self.transfers_at(step)
-            if step_transfers:
-                total += max(t.fraction for t in step_transfers)
+            ingress: Dict[int, float] = {}
+            for t in self.transfers_at(step):
+                ingress[t.dst] = ingress.get(t.dst, 0) + t.fraction
+            if ingress:
+                total += max(ingress.values())
         return total * chunk_size / bandwidth_bytes_per_sec
 
     def estimate_pipelined_transfer_time(
@@ -153,9 +159,9 @@ class RepairPlan:
         backlog.  For the chain every node receives exactly one chunk, so
         large S approaches a single ``C/B`` — repair pipelining's headline
         result; for the PPR tree the destination's ``ceil(log2(k+1))``
-        arrivals remain the floor.
+        arrivals remain the floor.  Raw plans are not sliced.
         """
-        if self.strategy in ("star", "staggered"):
+        if self.raw:
             return self.estimate_transfer_time(
                 chunk_size, bandwidth_bytes_per_sec
             )
@@ -215,13 +221,6 @@ def build_staggered_plan(recipe: RepairRecipe) -> RepairPlan:
     return RepairPlan("staggered", recipe, transfers, num_steps=len(transfers))
 
 
-def ppr_num_steps(num_helpers: int) -> int:
-    """``ceil(log2(k+1))`` logical timesteps for ``k`` helpers (Theorem 1)."""
-    if num_helpers < 1:
-        raise PlanError("PPR needs at least one helper")
-    return math.ceil(math.log2(num_helpers + 1))
-
-
 def ppr_position_loads(k: int) -> "List[int]":
     """Aggregation receive-count per helper tree position.
 
@@ -233,7 +232,7 @@ def ppr_position_loads(k: int) -> "List[int]":
     """
     total = k + 1
     receives = [0] * total  # indexed by q
-    for step in range(ppr_num_steps(k)):
+    for step in range(theory.ppr_timesteps(k)):
         stride = 1 << step
         for q in range(stride, total, 2 * stride):
             receives[q - stride] += 1
@@ -263,8 +262,9 @@ def build_ppr_plan(
             raise PlanError(
                 "helper_order must be a permutation of the recipe helpers"
             )
-    k = len(helpers)
-    num_steps = ppr_num_steps(k)
+    if not helpers:
+        raise PlanError("PPR needs at least one helper")
+    num_steps = theory.ppr_timesteps(len(helpers))
     nodes = helpers + [DESTINATION]
     total = len(nodes)
 
@@ -333,14 +333,81 @@ def build_chain_plan(recipe: RepairRecipe) -> RepairPlan:
     return RepairPlan("chain", recipe, tuple(transfers), num_steps=len(helpers))
 
 
+# ----------------------------------------------------------------------
+# The scheme table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Scheme:
+    """One repair scheme: its plan builder (None for pricing-only rows),
+    its plan's step count ``depth(d)`` and destination ingress fan-in
+    ``fanin(d)`` for ``d`` helpers, the reliability engine's slowdown per
+    extra concurrent repair, and the closed form its network term follows.
+    """
+
+    name: str
+    build: "Optional[Callable[[RepairRecipe], RepairPlan]]"
+    depth: "Callable[[int], int]"
+    fanin: "Callable[[int], int]"
+    contention: float
+    law: str
+
+    def steps(self, helpers: int, num_slices: int = 1) -> float:
+        """Serialized chunk transfers on the critical path of a repair
+        from ``helpers`` sources cut into ``num_slices`` slices."""
+        if helpers < 1:
+            raise ValueError(f"helpers must be >= 1, got {helpers}")
+        return theory.transfer_steps(
+            self.depth(helpers), self.fanin(helpers), num_slices
+        )
+
+
+def _one(_helpers: int) -> int:
+    return 1
+
+
+def _each(helpers: int) -> int:
+    return helpers
+
+
+#: The repair schemes, in listing order.  ``traditional`` and ``mppr``
+#: price as ``star`` and ``ppr`` for the reliability engine, with their
+#: own contention.  Contention is calibrated against Table 1 (star
+#: funnels k chunks into one link, PPR at most ceil(log2 k) into any)
+#: and Fig 8 (m-PPR's weighted scheduling barely collides); staggering
+#: spreads the funnel over time, and a chain gives every transfer its
+#: own link.
+SCHEMES: "Dict[str, Scheme]" = {
+    row.name: row
+    for row in (
+        Scheme("traditional", None, _one, _each, 0.50, "k*C/B"),
+        Scheme("star", build_star_plan, _one, _each, 0.50, "k*C/B"),
+        Scheme("staggered", build_staggered_plan, _each, _each, 0.35,
+               "k*C/B"),
+        Scheme("ppr", build_ppr_plan, theory.ppr_timesteps,
+               theory.ppr_timesteps, 0.20, "Theorem 1"),
+        Scheme("chain", build_chain_plan, _each, _one, 0.15, "k*C/B"),
+        Scheme("mppr", None, theory.ppr_timesteps, theory.ppr_timesteps,
+               0.05, "Theorem 1"),
+    )
+}
+
+#: The schemes with a plan builder: what ``--strategy`` accepts.
+STRATEGIES = tuple(name for name, row in SCHEMES.items() if row.build)
+
+
+def scheme(name: str, buildable: bool = False) -> Scheme:
+    """The table row for ``name``; ``buildable`` also requires a plan.
+    The one unknown-scheme error path (:class:`UnknownSchemeError`)."""
+    row = SCHEMES.get(name)
+    if row is None or (buildable and row.build is None):
+        known = STRATEGIES if buildable else tuple(SCHEMES)
+        raise UnknownSchemeError(
+            f"unknown {'strategy' if buildable else 'scheme'} {name!r}; "
+            f"pick from {known}"
+        )
+    return row
+
+
 def build_plan(strategy: str, recipe: RepairRecipe) -> RepairPlan:
-    """Dispatch on strategy name."""
-    if strategy == "star":
-        return build_star_plan(recipe)
-    if strategy == "staggered":
-        return build_staggered_plan(recipe)
-    if strategy == "ppr":
-        return build_ppr_plan(recipe)
-    if strategy == "chain":
-        return build_chain_plan(recipe)
-    raise PlanError(f"unknown strategy {strategy!r}; known: {STRATEGIES}")
+    """Build the plan of the named strategy."""
+    return scheme(strategy, buildable=True).build(recipe)  # type: ignore[misc]

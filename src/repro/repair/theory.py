@@ -18,60 +18,25 @@ def ppr_timesteps(k: int) -> int:
     return math.ceil(math.log2(k + 1))
 
 
-def expected_transfer_depth(strategy: str, k: int) -> int:
-    """Predicted serialized-transfer count on a repair's critical path.
+def transfer_steps(depth: int, fanin: int, num_slices: int = 1) -> float:
+    """Serialized chunk transfers on a repair's critical path.
 
-    This is the structural form of Theorem 1, used by the causal-trace
-    conformance checker (:mod:`repro.obs.conformance`).  A transfer is
-    *serialized* behind another when it either consumed the other's output
-    (data dependency) or had to share the same ingress link (resource
-    dependency) — which is exactly the accounting behind the paper's
-    "time steps":
-
-    * ``ppr`` — the binomial tree spreads transfers across many links; the
-      longest serialization is the destination's ``ceil(log2(k+1))``
-      arrivals.
-    * ``star`` — all ``k`` helper chunks funnel into the repair site's one
-      ingress link (the paper's incast argument), so all ``k`` transfers
-      serialize there.
-    * ``staggered`` — the same ``k``-deep funnel, made explicit in time.
-    * ``chain`` — ``k`` transfers serialized by data dependency along the
-      pipeline (each link carries one transfer).
+    The Theorem-1 step count generalized over plan shape and slicing: a
+    plan ``depth`` steps deep cut into ``S`` slices fills in ``depth``
+    slice-times and drains ``S-1`` more (repair pipelining, Li et al.),
+    unless its destination's ingress, receiving ``fanin`` transfers, is
+    the slower funnel.  Star (depth 1, fan-in d) and staggered (d, d)
+    take ``d``; PPR ``ceil(log2(d+1))`` either way; a chain (d, 1)
+    ``(d + S - 1) / S``, tending to one ``C/B``.  At ``S = 1`` it is also
+    the transfer depth :mod:`repro.obs.conformance` expects of a repair.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if strategy == "ppr":
-        return ppr_timesteps(k)
-    if strategy in ("star", "staggered", "chain"):
-        return k
-    raise ValueError(f"unknown repair strategy: {strategy!r}")
-
-
-def traditional_transfer_time(k: int, chunk_size: float, bandwidth: float) -> float:
-    """Theorem 1 baseline: ``k * C / B_N`` (k chunks funnel into one link)."""
-    return k * chunk_size / bandwidth
-
-
-def ppr_transfer_time(k: int, chunk_size: float, bandwidth: float) -> float:
-    """Theorem 1: ``ceil(log2(k+1)) * C / B_N``."""
-    return ppr_timesteps(k) * chunk_size / bandwidth
-
-
-def pipelined_transfer_time(
-    depth: int, chunk_size: float, bandwidth: float, num_slices: int
-) -> float:
-    """Sliced pipelining over a depth-``depth`` partial plan.
-
-    ``(depth + S - 1) * C / (S * B)`` — the repair-pipelining extension
-    (Li et al., ATC'17, seeded by this paper): the pipeline fills in
-    ``depth`` slice-times and drains ``S-1`` more.  As S grows, a chain of
-    any length approaches one ``C/B``.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth < 1 or fanin < 1:
+        raise ValueError(
+            f"depth and fan-in must be >= 1, got {depth} and {fanin}"
+        )
     if num_slices < 1:
         raise ValueError(f"num_slices must be >= 1, got {num_slices}")
-    return (depth + num_slices - 1) * chunk_size / (num_slices * bandwidth)
+    return max((depth + num_slices - 1) / num_slices, fanin)
 
 
 def transfer_time_reduction(k: int) -> float:
@@ -180,49 +145,21 @@ def mbr_storage_per_chunk(k: int, d: int) -> float:
     return mbr_repair_traffic(k, d)
 
 
-def scheme_transfer_steps(
-    scheme: str, helpers: int, num_slices: int = 1
-) -> float:
-    """Serialized helper-transfer count on a scheme's critical path.
-
-    The Theorem-1 step count generalized to ``d = helpers`` sources (for
-    RS repair ``d = k`` and this reduces to the forms above):
-
-    * ``star`` / ``traditional`` / ``staggered`` — all ``d`` transfers
-      funnel into the repair site's ingress link.
-    * ``ppr`` / ``mppr`` — the binomial aggregation tree needs
-      ``ceil(log2(d+1))`` steps.
-    * ``chain`` — ``(d + S - 1) / S`` slice-pipelined steps with ``S``
-      slices per chunk (Li et al.; ``S = 1`` degenerates to ``d``).
-    """
-    if helpers < 1:
-        raise ValueError(f"helpers must be >= 1, got {helpers}")
-    if num_slices < 1:
-        raise ValueError(f"num_slices must be >= 1, got {num_slices}")
-    if scheme in ("traditional", "star", "staggered"):
-        return float(helpers)
-    if scheme in ("ppr", "mppr"):
-        return float(ppr_timesteps(helpers))
-    if scheme == "chain":
-        return (helpers + num_slices - 1) / num_slices
-    raise ValueError(f"unknown repair scheme: {scheme!r}")
-
-
 def model_reconstruction_time(
-    scheme: str,
+    steps: float,
     helpers: int,
     traffic_chunks: float,
     chunk_size: float,
     io_bandwidth: float,
     net_bandwidth: float,
     compute_seconds_per_byte: float,
-    num_slices: int = 1,
 ) -> float:
     """Eq. (1) generalized over an arbitrary repair-cost model.
 
     ``helpers`` sources each ship ``β = traffic_chunks / helpers`` chunk
     units; the network and compute terms scale with the serialized share
-    ``steps(scheme, d) * β`` of that traffic on the critical path.  With
+    ``steps * β`` of that traffic on the critical path, where ``steps``
+    is the scheme's :func:`transfer_steps` for ``d = helpers``.  With
     ``helpers = traffic_chunks = k`` this is *exactly*
     :func:`reconstruction_time_estimate` for the funnel schemes and
     :func:`ppr_reconstruction_time_estimate` for ``ppr``/``mppr``, so
@@ -231,7 +168,6 @@ def model_reconstruction_time(
     if traffic_chunks <= 0:
         raise ValueError(f"traffic must be positive, got {traffic_chunks}")
     beta = traffic_chunks / helpers
-    steps = scheme_transfer_steps(scheme, helpers, num_slices)
     serialized_chunks = steps * beta
     return (
         chunk_size / io_bandwidth

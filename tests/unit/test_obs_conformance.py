@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import causal, conformance
 from repro.obs.span import Span
-from repro.repair import theory
+from repro.repair.plan import scheme
 
 
 def _phase(span_id, phase, start, end, node, **attrs) -> Span:
@@ -70,15 +70,15 @@ class TestExpectedTransferDepth:
         ],
     )
     def test_closed_forms(self, strategy, k, expected):
-        assert theory.expected_transfer_depth(strategy, k) == expected
+        assert scheme(strategy).steps(k) == expected
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
-            theory.expected_transfer_depth("mystery", 4)
+            scheme("mystery").steps(4)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            theory.expected_transfer_depth("ppr", 0)
+            scheme("ppr").steps(0)
 
 
 class TestCheckRepairStructure:

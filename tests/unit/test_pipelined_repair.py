@@ -56,9 +56,7 @@ def test_pipelined_estimate_formula():
     C, B = 64e6, 125e6
     for s in (1, 4, 32):
         est = plan.estimate_pipelined_transfer_time(C, B, s)
-        assert est == pytest.approx(
-            theory.pipelined_transfer_time(12, C, B, s)
-        )
+        assert est == pytest.approx(theory.transfer_steps(12, 1, s) * C / B)
 
 
 def test_pipelining_approaches_single_chunk_time():
@@ -81,9 +79,9 @@ def test_more_slices_never_slower_in_estimate():
 
 def test_theory_pipelined_validation():
     with pytest.raises(ValueError):
-        theory.pipelined_transfer_time(0, 1.0, 1.0, 4)
+        theory.transfer_steps(0, 1, 4)
     with pytest.raises(ValueError):
-        theory.pipelined_transfer_time(4, 1.0, 1.0, 0)
+        theory.transfer_steps(4, 1, 0)
 
 
 # ----------------------------------------------------------------------

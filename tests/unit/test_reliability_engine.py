@@ -4,13 +4,9 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.reliability import (
-    Hierarchy,
-    ReliabilityConfig,
-    ReliabilityEngine,
-    SCHEME_CONTENTION,
-)
+from repro.reliability import Hierarchy, ReliabilityConfig, ReliabilityEngine
 from repro.reliability.report import accelerated_config
+from repro.repair.plan import scheme
 
 
 def quick_config(**overrides):
@@ -78,7 +74,7 @@ def test_scheme_pricing_orders_repair_time():
     assert mppr.per_chunk_repair_hours() == ppr.per_chunk_repair_hours()
     # PPR/m-PPR differ through queue contention, not per-repair time.
     assert mppr.contention < ppr.contention < trad.contention
-    assert trad.contention == SCHEME_CONTENTION["traditional"]
+    assert trad.contention == scheme("traditional").contention
 
 
 def test_per_chunk_override_wins():

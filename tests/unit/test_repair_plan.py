@@ -13,8 +13,8 @@ from repro.repair.plan import (
     build_ppr_plan,
     build_staggered_plan,
     build_star_plan,
-    ppr_num_steps,
 )
+from repro.repair.theory import ppr_timesteps
 
 
 def rs_recipe(k=3, m=2, lost=0):
@@ -38,7 +38,7 @@ def test_staggered_serializes():
 
 def test_ppr_steps_formula():
     for k in range(1, 20):
-        assert ppr_num_steps(k) == math.ceil(math.log2(k + 1))
+        assert ppr_timesteps(k) == math.ceil(math.log2(k + 1))
 
 
 def test_ppr_plan_matches_fig2_rs32():

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.repair import theory
+from repro.repair.plan import scheme
 
 
 def test_theorem1_timesteps():
@@ -16,8 +17,8 @@ def test_theorem1_timesteps():
 
 def test_theorem1_times():
     C, B = 64e6, 125e6
-    assert theory.traditional_transfer_time(6, C, B) == pytest.approx(6 * C / B)
-    assert theory.ppr_transfer_time(6, C, B) == pytest.approx(3 * C / B)
+    assert scheme("star").steps(6) * C / B == pytest.approx(6 * C / B)
+    assert scheme("ppr").steps(6) * C / B == pytest.approx(3 * C / B)
 
 
 def test_table1_matches_paper():
@@ -100,18 +101,18 @@ def test_mbr_cut_set_bound():
 
 
 def test_scheme_transfer_steps():
-    for scheme in ("traditional", "star", "staggered"):
-        assert theory.scheme_transfer_steps(scheme, 6) == 6.0
-    assert theory.scheme_transfer_steps("ppr", 6) == 3.0
-    assert theory.scheme_transfer_steps("mppr", 6) == 3.0
-    assert theory.scheme_transfer_steps("chain", 6) == 6.0  # S = 1
-    assert theory.scheme_transfer_steps("chain", 6, num_slices=8) == (
-        pytest.approx(13 / 8)
-    )
+    for name in ("traditional", "star", "staggered"):
+        assert scheme(name).steps(6) == 6.0
+    assert scheme("ppr").steps(6) == 3.0
+    assert scheme("mppr").steps(6) == 3.0
+    assert scheme("chain").steps(6) == 6.0  # S = 1
+    assert scheme("chain").steps(6, num_slices=8) == pytest.approx(13 / 8)
     with pytest.raises(ValueError):
-        theory.scheme_transfer_steps("warp", 6)
+        scheme("warp").steps(6)
     with pytest.raises(ValueError):
-        theory.scheme_transfer_steps("ppr", 0)
+        scheme("ppr").steps(0)
+    with pytest.raises(ValueError):
+        theory.transfer_steps(3, 3, num_slices=0)
 
 
 def test_model_reconstruction_time_reduces_to_eq1():
@@ -119,21 +120,24 @@ def test_model_reconstruction_time_reduces_to_eq1():
     k = 6
     # helpers = traffic = k: exactly the RS forms.
     assert theory.model_reconstruction_time(
-        "star", k, float(k), C, BI, BN, COMP
+        scheme("star").steps(k), k, float(k), C, BI, BN, COMP
     ) == theory.reconstruction_time_estimate(k, C, BI, BN, COMP)
     assert theory.model_reconstruction_time(
-        "ppr", k, float(k), C, BI, BN, COMP
+        scheme("ppr").steps(k), k, float(k), C, BI, BN, COMP
     ) == theory.ppr_reconstruction_time_estimate(k, C, BI, BN, COMP)
 
 
 def test_model_reconstruction_time_scales_with_traffic():
     C, BI, BN, COMP = 64e6, 120e6, 125e6, 2.5e-10
+    star = scheme("star")
     rs = theory.model_reconstruction_time(
-        "star", 6, 6.0, C, BI, BN, COMP
+        star.steps(6), 6, 6.0, C, BI, BN, COMP
     )
     msr = theory.model_reconstruction_time(
-        "star", 8, theory.msr_repair_traffic(6, 8), C, BI, BN, COMP
+        star.steps(8), 8, theory.msr_repair_traffic(6, 8), C, BI, BN, COMP
     )
     assert msr < rs
     with pytest.raises(ValueError):
-        theory.model_reconstruction_time("star", 6, 0.0, C, BI, BN, COMP)
+        theory.model_reconstruction_time(
+            star.steps(6), 6, 0.0, C, BI, BN, COMP
+        )

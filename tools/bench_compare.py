@@ -68,6 +68,9 @@ EXACT_PREFIXES = (
     "durability_comparison.",
     "ext_fig8_qos.",
     "ablation_weights.",
+    "theorem1.",
+    "ablation_trees.",
+    "fig7a.",
 )
 
 #: Relative drift allowed for exact metrics: a constant, not a band.
