@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import paper_reported as paper

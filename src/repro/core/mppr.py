@@ -26,6 +26,7 @@ in-flight repair counts are the RM's own bookkeeping and are fresh.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
@@ -349,8 +350,11 @@ class RepairManager:
     def _arm_timeout(
         self, chunk_id: str, context: "RepairContext", retries: int
     ) -> None:
+        ref = weakref.ref(context)  # an unfinished repair stays registered
+
         def check() -> None:
-            if context.finished:
+            context = ref()  # None once a finished repair has been freed
+            if context is None or context.finished:
                 return
             if obs.tracer() is not None:
                 obs.registry().counter(

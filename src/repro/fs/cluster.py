@@ -2,7 +2,7 @@
 
 :class:`StorageCluster` is the top-level object experiments build.  It
 owns the event loop, the network fabric, every chunk server and client,
-the meta-server, the placement policy, and ground-truth copies of every
+the meta-server, the placement policy, and the ground truth of every
 written chunk (used to verify each reconstruction byte-for-byte).
 
 The two testbeds of §7 are available as presets:
@@ -142,7 +142,7 @@ class StorageCluster:
         self._stripe_counter = itertools.count(1)
         self._repair_counter = itertools.count(1)
         self._repairs: "Dict[str, object]" = {}
-        #: Ground truth: chunk_id -> payload written at encode time.
+        #: Ground truth: chunk_id -> the read-only row stored at encode time.
         self._truth: "Dict[str, np.ndarray]" = {}
         #: Continuous telemetry, populated by :meth:`enable_telemetry`.
         self.telemetry: "Optional[TimeSeriesStore]" = None
@@ -280,6 +280,7 @@ class StorageCluster:
                     f"data must have shape ({code.k}, {payload_len})"
                 )
         encoded = code.encode(data)
+        encoded.flags.writeable = False  # chunks and truth share its rows
 
         stripe_id = f"stripe-{next(self._stripe_counter):04d}"
         chunk_ids = [f"{stripe_id}/chunk-{i:02d}" for i in range(code.n)]
@@ -297,7 +298,7 @@ class StorageCluster:
             payload_len=payload_len,
         )
         for index, (chunk_id, host) in enumerate(zip(chunk_ids, hosts)):
-            payload = encoded[index].copy()
+            payload = encoded[index]
             chunk = Chunk(
                 chunk_id=chunk_id,
                 stripe_id=stripe_id,
@@ -306,7 +307,7 @@ class StorageCluster:
                 size=modeled,
             )
             self.servers[host].store_chunk(chunk)
-            self._truth[chunk_id] = payload.copy()
+            self._truth[chunk_id] = payload
             self.metaserver.register_chunk(chunk_id, host)
         self.metaserver.register_stripe(stripe, list(hosts))
         return stripe
@@ -355,12 +356,13 @@ class StorageCluster:
         server = self.servers.get(destination)
         if server is None or not server.alive:
             return
+        chunk_payload.flags.writeable = False  # the repair is done with it
         server.store_chunk(
             Chunk(
                 chunk_id=chunk_id,
                 stripe_id=context.stripe.stripe_id,
                 index=context.lost_index,
-                payload=chunk_payload.copy(),
+                payload=chunk_payload,
                 size=context.chunk_size,
             )
         )

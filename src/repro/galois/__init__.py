@@ -13,7 +13,7 @@ kernels here:
   chunk buffers: ``scale`` (multiply a buffer by a field constant),
   ``xor_into`` (accumulate), and ``addmul`` (fused ``dst ^= a * src``) —
   exactly the two primitives PPR distributes across servers (§4.1) — all
-  over one GIL-free gather (through 16-bit per-coefficient pair tables,
+  over one gather (through 16-bit per-coefficient pair tables,
   or a ``GF_MUL`` row for short buffers), and ``combine``, the single
   block-parallel row-combine loop that encode, decode and every
   partial-result computation run on.

@@ -12,7 +12,7 @@ coefficient's table holds 65 536 ``uint16`` entries, entry
 ``(hi << 8) | lo`` being ``c*hi << 8 | c*lo``, so one lookup multiplies
 two bytes.  A source block is viewed as ``uint16`` pairs, widened to
 ``intp`` once however many coefficients apply to it, and gathered with
-``np.take(..., mode="clip", out=...)``, which releases the GIL; an
+``np.take(..., mode="clip", out=...)`` (which holds the GIL); an
 odd-length block ends with a one-byte tail.  Tables are built on first
 use and kept in a cache bounded to :data:`TABLE_CACHE` entries (4 MiB).
 Buffers shorter than :data:`PAIR_MIN` take the same path through the

@@ -1082,18 +1082,20 @@ class LiveChunkServer:
         obs.registry().counter("live.stream.segments").inc()
         # Timeline detail only: slice records are not a PHASES member, so
         # they stay out of the breakdown and the conformance DAG — the
-        # hop's single network record below carries the causality.
-        task.trace.append(
-            trace.slice_record(
-                merge_start,
-                trace.now(),
-                self.server_id,
-                slice=slice_index,
-                offset=offset,
-                nbytes=nbytes,
-                src=stream.sender,
+        # hop's single network record below carries the causality.  Only
+        # the tracer's span ingest reads them: untraced repairs skip them.
+        if task.ctx is not None:
+            task.trace.append(
+                trace.slice_record(
+                    merge_start,
+                    trace.now(),
+                    self.server_id,
+                    slice=slice_index,
+                    offset=offset,
+                    nbytes=nbytes,
+                    src=stream.sender,
+                )
             )
-        )
 
     def _finish_stream(
         self,

@@ -28,7 +28,6 @@ from repro.reliability.engine import (
     ReliabilityEngine,
 )
 from repro.reliability.hierarchy import Hierarchy
-from repro.reliability.results import ReliabilityReport
 
 
 def accelerated_config(

@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.codes.registry import make_code
-from repro.live import LiveCluster, LiveConfig
+from repro.live import LiveCluster, LiveConfig, trace
 from repro.live.coordinator import LiveAttempt
 from repro.obs import causal, conformance
 from repro.obs.doctor import explain_incident, render_incident
@@ -152,6 +152,22 @@ class TestSlicedCausality:
         assert len(slices) == 4 * 8
         # slice records never carry causal tags
         assert all("gid" not in s.attrs for s in slices)
+
+    def test_untraced_repair_ships_no_slice_records(self, monkeypatch):
+        """Only the tracer's span ingest reads slice records, so an
+        untraced repair leaves them out of every trailer and its result."""
+        shipped = []
+        breakdown = trace.breakdown_from_trace
+
+        def spy(records, start, end):
+            shipped.extend(records)
+            return breakdown(records, start, end)
+
+        monkeypatch.setattr(trace, "breakdown_from_trace", spy)
+        _, _, report = run_sliced_repair("rs(4,2)", "chain", 8)
+        assert report.result.verified
+        assert any(r["phase"] == "network" for r in shipped)
+        assert not [r for r in shipped if r["phase"] == trace.SLICE_PHASE]
 
 
 class TestStreamFailureRecovery:

@@ -1,6 +1,8 @@
 """m-PPR: scheduling many simultaneous reconstructions."""
 
 import collections
+import gc
+import weakref
 
 import pytest
 
@@ -34,6 +36,31 @@ def test_crash_triggers_batch_repair():
     assert batch.all_verified
     assert not rm.failed_chunks
     assert not rm.inflight and not rm.queue
+
+
+def test_drain_frees_every_finished_repair(monkeypatch):
+    """Each repair's timeout is still pending after the drain, but holds
+    the repair weakly: no context, task or partial buffer outlives it."""
+    cluster, rm, _ = build(num_stripes=10)
+    contexts = []
+    start_repair = rm.coordinator.start_repair
+
+    def tracked(*args, **kwargs):
+        context = start_repair(*args, **kwargs)
+        contexts.append(weakref.ref(context))
+        return context
+
+    monkeypatch.setattr(rm.coordinator, "start_repair", tracked)
+    victim, hosted = busiest_server(cluster)
+    lost = cluster.kill_server(victim)
+    batch = rm.drain(max_time=3000)
+    assert len(batch.results) == len(contexts) == hosted
+    for chunk_id in lost:  # committed without a copy, and frozen
+        host = cluster.metaserver.locate_chunk(chunk_id)
+        assert not cluster.chunk_server(host).get_chunk(chunk_id).payload.flags.writeable
+    assert cluster.sim.now < batch.results[0].start_time + rm.config.repair_timeout
+    gc.collect()
+    assert [ref() for ref in contexts] == [None] * hosted
 
 
 def test_all_chunks_rehosted_after_batch():

@@ -51,6 +51,22 @@ def test_written_chunks_are_encodings(rng):
         assert np.array_equal(cluster.truth_payload(cid), encoded[i])
 
 
+def test_stored_payload_and_truth_share_one_frozen_buffer():
+    cluster = StorageCluster.smallsite()
+    code = ReedSolomonCode(4, 2)
+    stripe = cluster.write_stripe(code, "8MiB")
+    for cid in stripe.chunk_ids:
+        host = cluster.metaserver.locate_chunk(cid)
+        stored = cluster.chunk_server(host).get_chunk(cid).payload
+        truth = cluster.truth_payload(cid)
+        assert np.shares_memory(stored, truth)
+        for view in (stored, truth):
+            with pytest.raises(ValueError):
+                view[0] ^= 1
+            with pytest.raises(ValueError):
+                np.bitwise_xor(view, 1, out=view)
+
+
 def test_explicit_hosts():
     cluster = StorageCluster.smallsite()
     code = ReedSolomonCode(4, 2)
