@@ -1,4 +1,11 @@
-"""§4.3: reduced memory footprint, measured on the simulated cluster."""
+"""§4.3: reduced memory footprint, measured on the simulated cluster.
+
+Its model values are deterministic and gated exactly
+(``tools/bench_compare.py``).  Like ``bench_theorem1_transfer.py`` it
+skips the pytest-benchmark timing fixture: its two single-shot medians
+passed a regeneration of their own baseline only 4 times in 10 on a
+shared 2-core box (each call takes 20-40 ms).
+"""
 
 import math
 
@@ -17,7 +24,7 @@ def measure(k, m, strategy):
     return run_single_repair(cluster, stripe, 0, strategy=strategy)
 
 
-def test_sec43_memory_footprint(benchmark, save_report):
+def test_sec43_memory_footprint(save_report):
     from repro.analysis.render import Table
 
     def run():
@@ -51,7 +58,7 @@ def test_sec43_memory_footprint(benchmark, save_report):
         Result.rows = rows
         return Result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_report(result)
     for row in result.rows:
         # Traditional buffers ~k chunks at the repair site.
@@ -62,7 +69,7 @@ def test_sec43_memory_footprint(benchmark, save_report):
         assert row["ppr_chunks"] <= row["star_chunks"] / 2
 
 
-def test_sliced_repair_shrinks_buffers(benchmark):
+def test_sliced_repair_shrinks_buffers():
     """Pipelining bonus: slices bound memory by fractions of a chunk."""
 
     def run():
@@ -72,7 +79,7 @@ def test_sliced_repair_shrinks_buffers(benchmark):
             cluster, stripe, 0, strategy="chain", num_slices=16
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     # The destination must hold the chunk it is rebuilding (~1 C), but no
     # chain node buffers more than that — far below PPR's log2-many
     # chunks, let alone traditional's k.

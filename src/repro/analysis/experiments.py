@@ -529,11 +529,15 @@ def fig7e_caching(
 def fig7f_compute(
     codes: "Sequence[Tuple[int, int]]" = tuple(EVAL_CODES),
     buffer_bytes: int = 4 * MIB,
+    repeats: int = 15,
 ) -> ExperimentResult:
     """Measure actual numpy kernel time for serial vs PPR critical path.
 
     Serial (traditional): k scalar multiplies + k XOR accumulations at the
     repair site.  PPR critical path: one multiply + ceil(log2(k+1)) XORs.
+    Each runs once untimed per k (building its pair tables), then is timed
+    as the median of ``repeats`` calls interleaved across k, so load that
+    comes and goes on a shared box weighs on every k alike.
     """
     import numpy as np
 
@@ -547,23 +551,33 @@ def fig7f_compute(
         f"{buffer_bytes // MIB}MiB buffers (real numpy kernels)",
     )
     rows = []
-    for k, m in codes:
-        bufs = [
-            rng.integers(0, 256, size=buffer_bytes, dtype=np.uint8)
-            for _ in range(k)
-        ]
-        acc = np.zeros(buffer_bytes, dtype=np.uint8)
-        start = time.perf_counter()
-        for i, buf in enumerate(bufs):
-            addmul(acc, (i % 254) + 2, buf)
-        serial = time.perf_counter() - start
+    ks = [k for k, _ in codes]
+    bufs = [
+        rng.integers(0, 256, size=buffer_bytes, dtype=np.uint8)
+        for _ in range(max(ks))
+    ]
+    acc = np.zeros(buffer_bytes, dtype=np.uint8)
 
-        steps = math.ceil(math.log2(k + 1))
-        start = time.perf_counter()
+    def serial_path(k: int) -> None:
+        for i, buf in enumerate(bufs[:k]):
+            addmul(acc, (i % 254) + 2, buf)
+
+    def critical_path(k: int) -> None:
         partial = scale(7, bufs[0])
-        for i in range(steps):
+        for i in range(math.ceil(math.log2(k + 1))):
             np.bitwise_xor(partial, bufs[i % k], out=partial)
-        critical = time.perf_counter() - start
+
+    samples = {(path, k): [] for path in (serial_path, critical_path) for k in ks}
+    for path, k in samples:
+        path(k)
+    for _ in range(repeats):
+        for (path, k), times in samples.items():
+            start = time.perf_counter()
+            path(k)
+            times.append(time.perf_counter() - start)
+    for k, m in codes:
+        serial = statistics.median(samples[serial_path, k])
+        critical = statistics.median(samples[critical_path, k])
         rows.append(
             {"k": k, "serial_s": serial, "critical_s": critical,
              "speedup": serial / critical}

@@ -14,9 +14,10 @@ kernels here:
   ``xor_into`` (accumulate), and ``addmul`` (fused ``dst ^= a * src``) —
   exactly the two primitives PPR distributes across servers (§4.1) — all
   over one gather (through 16-bit per-coefficient pair tables,
-  or a ``GF_MUL`` row for short buffers), and ``combine``, the single
-  block-parallel row-combine loop that encode, decode and every
-  partial-result computation run on.
+  or a ``GF_MUL`` row for short buffers) and ``combine``, the row-combine
+  loop every partial-result computation runs on; and ``lane_product``,
+  the packed-lane gather (one lookup per source byte for up to eight
+  matrix rows) under the multiply rows of every encode and decode.
 * :mod:`repro.galois.polynomial` implements polynomials over GF(2^8),
   used for Vandermonde/BCH-style reasoning and tested as an independent
   check on the field axioms.

@@ -7,27 +7,28 @@ These are the data-path primitives of the whole system.  A repair equation
 is computed entirely with constant multiplies and XORs — whether centrally
 (traditional repair) or split across servers (PPR partial operations).
 
-There is one multiply kernel: a gather through a 16-bit *pair table*.  A
-coefficient's table holds 65 536 ``uint16`` entries, entry
-``(hi << 8) | lo`` being ``c*hi << 8 | c*lo``, so one lookup multiplies
-two bytes.  A source block is viewed as ``uint16`` pairs, widened to
-``intp`` once however many coefficients apply to it, and gathered with
-``np.take(..., mode="clip", out=...)`` (which holds the GIL); an
-odd-length block ends with a one-byte tail.  Tables are built on first
-use and kept in a cache bounded to :data:`TABLE_CACHE` entries (4 MiB).
-Buffers shorter than :data:`PAIR_MIN` take the same path through the
-coefficient's 256-byte ``GF_MUL`` row instead, one byte a lookup, so they
-never pay for building a table.
+There are two multiply kernels, both ``np.take`` gathers (which hold the
+GIL) over source blocks widened to ``intp``.  A coefficient's *pair
+table* holds 65 536 ``uint16`` entries, entry ``(hi << 8) | lo`` being
+``c*hi << 8 | c*lo``, so one lookup multiplies two bytes.  Tables are
+built on first use and kept in a cache bounded to :data:`TABLE_CACHE`
+entries (4 MiB); buffers shorter than :data:`PAIR_MIN` gather through the
+256-byte ``GF_MUL`` row instead, so they never pay for building one.
+:func:`combine`, the row-combine loop on top of it, runs every partial
+result, :func:`addmul` and :func:`scale`.  The *packed-lane* product,
+:func:`lane_product`, runs the multiply rows of ``GFMatrix.mul_buffer``
+(every encode and decode): a column's 256-entry table holds its
+coefficient for up to eight rows in the byte lanes of a ``uint32`` or
+``uint64`` (:func:`lane_tables`), so one lookup per source byte serves
+them all.
 
-:func:`combine` is the one row-combine loop on top of it: encode, decode,
-every partial-result computation, :func:`addmul` and :func:`scale` are
-calls to it.  It walks its buffers in :data:`BLOCK`-sized pieces, so
-source, product and destination stay cache-resident, and splits the
-block range into contiguous shares: the calling thread runs one, a
-module-level thread pool with one worker per further usable core runs
-the rest.  A share touches only its own offsets of every buffer, and no
-scratch buffer is shared between calls, so the kernels are safe to call
-from several threads at once.
+Both walk their buffers block by block, so source, product and
+destination stay cache-resident, and split a long call into contiguous
+block shares: the calling thread runs one, a module-level thread pool
+with one worker per further usable core runs the rest, overlapping only
+the GIL-free widening, XOR and copy steps.  A share touches only its own
+offsets of every buffer, and no scratch buffer is shared between calls,
+so the kernels are safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache, partial
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +63,11 @@ PAIR_MIN = 32 * 1024
 #: smaller ones (a 64 KiB repair buffer) run inline, where a thread
 #: hand-off would cost more than it saves.
 MIN_BLOCKS_PER_WORKER = 2
+
+#: Scratch bytes of one packed-product share: ``intp`` indices plus two
+#: lane buffers, 16 (``uint32`` lanes) or 24 (``uint64``) bytes a source
+#: byte, so it steps 32 or 21.3 KiB at a time; 1 MiB a call on two cores.
+LANE_SCRATCH = 512 * 1024
 
 
 def _usable_cores() -> int:
@@ -203,12 +209,16 @@ def _run(
         uses.setdefault(s, (src, []))[1].append((o, dst, coeff, table))
     if first is None:
         return
-    groups = list(uses.values())
     rows = len(first)
     step = max(1, BLOCK * rows // max(1, first.size))
+    _in_shares(partial(_walk, list(uses.values()), accumulate, step), rows, step)
+
+
+def _in_shares(walk: "Callable[[int, int], None]", rows: int, step: int) -> None:
+    """Run ``walk(start, stop)`` over ``[0, rows)`` inline, or in shares cut
+    at multiples of ``step`` where each gets :data:`MIN_BLOCKS_PER_WORKER`."""
     blocks = -(-rows // step)
     workers = min(_WORKERS, blocks // MIN_BLOCKS_PER_WORKER)
-    walk = partial(_walk, groups, accumulate, step)
     if workers <= 0:
         walk(0, rows)
         return
@@ -223,6 +233,50 @@ def _run(
         wait(futures)
     for future in futures:
         future.result()
+
+
+def lane_tables(coeffs: np.ndarray) -> np.ndarray:
+    """Per column of a ``(g <= 8, cols)`` block, a 256-entry little-endian
+    ``uint32`` (``g > 4``: ``uint64``) table whose byte lane ``l`` of entry
+    ``x`` is ``coeffs[l, col] * x``."""
+    g, cols = coeffs.shape
+    width = 4 if g <= 4 else 8
+    lanes = np.zeros((cols, 256, width), np.uint8)
+    lanes[:, :, :g] = GF_MUL[coeffs.T].transpose(0, 2, 1)
+    tables = lanes.view(f"<u{width}")[:, :, 0]
+    tables.setflags(write=False)
+    return tables
+
+
+def lane_product(
+    out: np.ndarray, sources: np.ndarray, rows: "List[int]", cols: "List[int]",
+    tables: np.ndarray,
+) -> None:
+    """``out[rows[l]] = XOR_j coeff(l, j) * sources[cols[j]]`` for every lane.
+
+    ``tables`` come from :func:`lane_tables`.  Each source block is
+    widened once and gathered once into a packed accumulator, whose lanes
+    are shifted out into the output rows after the last source.
+    """
+    def walk(begin: int, end: int) -> None:
+        step = min(LANE_SCRATCH // (8 + 2 * tables.itemsize), end - begin) or 1
+        wide = np.empty(step, np.intp)
+        acc, tmp = np.empty((2, step), tables.dtype)
+        for start in range(begin, end, step):
+            stop = min(start + step, end)
+            w, a, t = wide[: stop - start], acc[: stop - start], tmp[: stop - start]
+            for q, j in enumerate(cols):
+                np.copyto(w, sources[j, start:stop])
+                # Byte indices never wrap a 256-entry table; "wrap"
+                # gathers ~13% faster than "clip" here.
+                np.take(tables[q], w, mode="wrap", out=t if q else a)
+                if q:
+                    np.bitwise_xor(a, t, out=a)
+            for lane, r in enumerate(rows):
+                part = np.right_shift(a, 8 * lane, out=t) if lane else a
+                np.copyto(out[r, start:stop], part, casting="unsafe")
+
+    _in_shares(walk, out.shape[1], BLOCK)
 
 
 def scale(coeff: int, buf: np.ndarray) -> np.ndarray:
@@ -268,6 +322,6 @@ def combine(
     writes it, later ones accumulate, and rows no entry names are left
     alone.  Walked block-outer, entry-inner, so every coefficient applied
     to a source block finds it cache-resident; large calls are split into
-    contiguous block shares run on every usable core.
+    contiguous block shares, one per usable core.
     """
     _run(out, sources, entries, accumulate=False)

@@ -3,29 +3,33 @@
 Backed by numpy uint8 arrays.  The matrix algebra (products, inversion,
 rank) gathers the GF multiplication table row-wise, which is fast enough
 for the small matrices erasure coding needs (k+m <= 255); the bulk
-matrix-buffer product runs on :func:`repro.galois.vector.combine`.
+matrix-buffer product runs on the kernels of :mod:`repro.galois.vector`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import GaloisError, SingularMatrixError
 from repro.galois.field import gf256
 from repro.galois.tables import GF_MUL
-from repro.galois.vector import combine
+from repro.galois.vector import PAIR_MIN, combine, lane_product, lane_tables
+
+#: Most output rows one packed lookup serves (``uint64`` lanes).
+LANES = 8
 
 
 class GFMatrix:
-    """An immutable-by-convention matrix over GF(2^8).
+    """An immutable matrix over GF(2^8).
 
-    The underlying array is exposed via :attr:`data`; callers must not
-    mutate it (operations always allocate fresh results).
+    The underlying array is exposed read-only via :attr:`data`
+    (operations always allocate fresh results), so the product plan
+    :meth:`mul_buffer` builds on first use never goes stale.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_plan")
 
     def __init__(self, data: "np.ndarray | Sequence[Sequence[int]]"):
         array = np.asarray(data)
@@ -35,7 +39,11 @@ class GFMatrix:
             if array.size and (array.min() < 0 or array.max() > 255):
                 raise GaloisError("matrix entries must be in [0, 256)")
             array = array.astype(np.uint8)
+        if isinstance(data, np.ndarray) and np.may_share_memory(array, data):
+            array = array.copy()
+        array.setflags(write=False)
         self._data = array
+        self._plan: "Optional[tuple]" = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -112,25 +120,49 @@ class GFMatrix:
             raise GaloisError(
                 f"matrix product: inner dims differ ({self.cols} vs {other.rows})"
             )
-        left, right = self._data, other._data
-        out = np.zeros((self.rows, other.cols), dtype=np.uint8)
-        # Accumulate rank-1 contributions column-of-left x row-of-right;
-        # each uses one table gather over the right-hand row block.
-        for inner in range(self.cols):
-            col = left[:, inner]
-            rrow = right[inner]
-            if not rrow.any() or not col.any():
-                continue
-            # products[i, j] = col[i] * rrow[j]
-            products = GF_MUL[col][:, rrow]
-            np.bitwise_xor(out, products, out=out)
-        return GFMatrix(out)
+        # Row i of the product combines the right-hand rows by row i.
+        return GFMatrix(self.mul_buffer(other._data))
+
+    def _product_plan(self) -> tuple:
+        """Zero rows, unit rows as ``(row, source)``, ``combine`` entries of
+        the 0/1 rows, and the multiply rows in groups of up to :data:`LANES`
+        with their columns, lane tables, entries and whether packing pays
+        below and from :data:`PAIR_MIN`.  Built on first use."""
+        if self._plan is None:
+            zeros, copies, xors, dense, entries = [], [], [], [], {}
+            for i, row in enumerate(self._data.tolist()):
+                terms = entries[i] = [(i, j, c) for j, c in enumerate(row) if c]
+                if max(row, default=0) > 1:
+                    dense.append(i)
+                elif len(terms) == 1:
+                    copies.append((i, terms[0][1]))
+                elif terms:
+                    xors.extend(terms)
+                else:
+                    zeros.append(i)
+            groups = []
+            for at in range(0, len(dense), LANES):
+                rows = dense[at : at + LANES]
+                cols = np.flatnonzero(self._data[rows].any(axis=0)).tolist()
+                block = self._data[np.ix_(rows, cols)]
+                terms = [t for i in rows for t in entries[i]]
+                # Lookups a source byte, in halves: packed, one a column
+                # (1.5 for uint64 lanes); combine, one a multiply, half
+                # that on pair tables.
+                cost = len(cols) * (2 if len(rows) <= 4 else 3)
+                mults = int((block > 1).sum())
+                pays = (cost < 2 * mults, cost < mults)
+                groups.append((rows, cols, lane_tables(block), terms, pays))
+            self._plan = (zeros, copies, xors, groups)
+        return self._plan
 
     def mul_buffer(self, buffers: np.ndarray) -> np.ndarray:
         """Multiply this matrix by a stack of byte buffers.
 
         ``buffers`` has shape ``(cols, nbytes)``; the result has shape
-        ``(rows, nbytes)``.  This is the bulk encode/decode operation.
+        ``(rows, nbytes)``.  This is the bulk encode/decode operation:
+        multiply rows go through :func:`~repro.galois.vector.lane_product`
+        where that pays, every other row through ``combine``.
         """
         if buffers.ndim != 2 or buffers.shape[0] != self.cols:
             raise GaloisError(
@@ -139,18 +171,17 @@ class GFMatrix:
             )
         if buffers.dtype != np.uint8:
             raise GaloisError("mul_buffer: buffers must be uint8")
-        # combine writes every row some entry names; only all-zero matrix
-        # rows need clearing.
+        zeros, copies, xors, groups = self._product_plan()
         out = np.empty((self.rows, buffers.shape[1]), dtype=np.uint8)
-        out[~self._data.any(axis=1)] = 0
-        combine(
-            out,
-            buffers,
-            [
-                (i, j, int(self._data[i, j]))
-                for i, j in np.argwhere(self._data).tolist()
-            ],
-        )
+        out[zeros] = 0
+        for i, j in copies:
+            out[i] = buffers[j]
+        pairs = buffers.shape[1] >= PAIR_MIN
+        packed = [group for group in groups if group[4][pairs]]
+        rest = [t for group in groups if not group[4][pairs] for t in group[3]]
+        combine(out, buffers, xors + rest)
+        for rows, cols, tables, _, _ in packed:
+            lane_product(out, buffers, rows, cols, tables)
         return out
 
     # ------------------------------------------------------------------

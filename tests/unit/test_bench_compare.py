@@ -103,6 +103,18 @@ def test_model_metric_must_match_exactly(dirs, name):
         ) == failures
 
 
+def test_fig9_and_sec43_model_metrics_are_exact(dirs):
+    """Fig 9's repair durations and §4.3's buffer counts are model
+    outputs: a 1e-6 drift fails even under a 50% band."""
+    baseline, fresh = dirs
+    names = ("fig9.duration_s", "sec43_memory.ppr_chunks")
+    _write(baseline, "BENCH_x.json", [_metric(name, 3.0) for name in names])
+    _write(fresh, "BENCH_x.json", [_metric(name, 3.0 * (1 + 1e-6)) for name in names])
+    assert bench_compare.compare_dirs(
+        baseline, fresh, tolerance=0.5, out=io.StringIO()
+    ) == 2
+
+
 def test_live_metric_and_median_keep_the_band(dirs):
     """The live pipelining measurement stays two-sided at the band and a
     wall-clock ``.median`` one-sided, while a model metric is exact."""

@@ -123,3 +123,22 @@ def test_hash_and_eq(rng):
     b = GFMatrix(a.data.copy())
     assert a == b and hash(a) == hash(b)
     assert a != GFMatrix.zeros(2, 2) or not a.data.any()
+
+
+def test_data_is_frozen_after_mul_buffer(rng):
+    """The product plan is cached per matrix, so a write into the matrix
+    after its first product would leave the plan stale; it must raise."""
+    m = GFMatrix(rng.integers(2, 256, size=(3, 4), dtype=np.uint8))
+    m.mul_buffer(rng.integers(0, 256, size=(4, 64), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        m.data[0, 0] ^= 1
+
+
+def test_construction_copies_caller_array(rng):
+    """The caller's array stays writable and does not alias the matrix."""
+    source = rng.integers(0, 256, size=(3, 3), dtype=np.uint8)
+    m = GFMatrix(source)
+    before = m.data.copy()
+    source[0, 0] ^= 1
+    assert source.flags.writeable
+    assert np.array_equal(m.data, before)

@@ -71,6 +71,8 @@ EXACT_PREFIXES = (
     "theorem1.",
     "ablation_trees.",
     "fig7a.",
+    "fig9.",
+    "sec43_memory.",
 )
 
 #: Relative drift allowed for exact metrics: a constant, not a band.
