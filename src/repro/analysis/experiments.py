@@ -529,15 +529,14 @@ def fig7e_caching(
 def fig7f_compute(
     codes: "Sequence[Tuple[int, int]]" = tuple(EVAL_CODES),
     buffer_bytes: int = 4 * MIB,
-    repeats: int = 15,
 ) -> ExperimentResult:
     """Measure actual numpy kernel time for serial vs PPR critical path.
 
     Serial (traditional): k scalar multiplies + k XOR accumulations at the
     repair site.  PPR critical path: one multiply + ceil(log2(k+1)) XORs.
-    Each runs once untimed per k (building its pair tables), then is timed
-    as the median of ``repeats`` calls interleaved across k, so load that
-    comes and goes on a shared box weighs on every k alike.
+    Each runs once untimed per k, then is timed as the median of 5-15
+    calls (as many as fill 32 MiB) interleaved across k, so load that
+    comes and goes weighs on every k alike.
     """
     import numpy as np
 
@@ -551,11 +550,7 @@ def fig7f_compute(
         f"{buffer_bytes // MIB}MiB buffers (real numpy kernels)",
     )
     rows = []
-    ks = [k for k, _ in codes]
-    bufs = [
-        rng.integers(0, 256, size=buffer_bytes, dtype=np.uint8)
-        for _ in range(max(ks))
-    ]
+    bufs = rng.integers(0, 256, (max(k for k, _ in codes), buffer_bytes), np.uint8)
     acc = np.zeros(buffer_bytes, dtype=np.uint8)
 
     def serial_path(k: int) -> None:
@@ -567,10 +562,10 @@ def fig7f_compute(
         for i in range(math.ceil(math.log2(k + 1))):
             np.bitwise_xor(partial, bufs[i % k], out=partial)
 
-    samples = {(path, k): [] for path in (serial_path, critical_path) for k in ks}
+    samples = {(path, k): [] for path in (serial_path, critical_path) for k, _ in codes}
     for path, k in samples:
         path(k)
-    for _ in range(repeats):
+    for _ in range(max(5, min(15, 32 * MIB // buffer_bytes))):
         for (path, k), times in samples.items():
             start = time.perf_counter()
             path(k)

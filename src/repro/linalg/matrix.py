@@ -8,7 +8,7 @@ matrix-buffer product runs on the kernels of :mod:`repro.galois.vector`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -25,11 +25,11 @@ class GFMatrix:
     """An immutable matrix over GF(2^8).
 
     The underlying array is exposed read-only via :attr:`data`
-    (operations always allocate fresh results), so the product plan
-    :meth:`mul_buffer` builds on first use never goes stale.
+    (operations always allocate fresh results), so the product plans
+    :meth:`mul_buffer` builds on first use never go stale.
     """
 
-    __slots__ = ("_data", "_plan")
+    __slots__ = ("_data", "_plans")
 
     def __init__(self, data: "np.ndarray | Sequence[Sequence[int]]"):
         array = np.asarray(data)
@@ -43,7 +43,7 @@ class GFMatrix:
             array = array.copy()
         array.setflags(write=False)
         self._data = array
-        self._plan: "Optional[tuple]" = None
+        self._plans: "Dict[bool, tuple]" = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -123,38 +123,42 @@ class GFMatrix:
         # Row i of the product combines the right-hand rows by row i.
         return GFMatrix(self.mul_buffer(other._data))
 
-    def _product_plan(self) -> tuple:
-        """Zero rows, unit rows as ``(row, source)``, ``combine`` entries of
-        the 0/1 rows, and the multiply rows in groups of up to :data:`LANES`
-        with their columns, lane tables, entries and whether packing pays
-        below and from :data:`PAIR_MIN`.  Built on first use."""
-        if self._plan is None:
-            zeros, copies, xors, dense, entries = [], [], [], [], {}
+    def _product_plan(self, pairs: bool) -> tuple:
+        """Zero rows, unit rows to copy, ``combine`` entries and
+        the groups of up to :data:`LANES` multiply rows packed at this
+        length class (``pairs``: from :data:`PAIR_MIN`), each as its rows,
+        columns and lane tables.  Built on first use of the class."""
+        plan = self._plans.get(pairs)
+        if plan is None:
+            zeros, copies, entries, dense, packed = [], [], [], [], []
             for i, row in enumerate(self._data.tolist()):
-                terms = entries[i] = [(i, j, c) for j, c in enumerate(row) if c]
+                terms = [(i, j, c) for j, c in enumerate(row) if c]
                 if max(row, default=0) > 1:
-                    dense.append(i)
+                    dense.append((i, terms))
                 elif len(terms) == 1:
-                    copies.append((i, terms[0][1]))
+                    copies.extend(terms)
                 elif terms:
-                    xors.extend(terms)
+                    entries.extend(terms)
                 else:
                     zeros.append(i)
-            groups = []
             for at in range(0, len(dense), LANES):
-                rows = dense[at : at + LANES]
+                group = dense[at : at + LANES]
+                rows = [i for i, _ in group]
                 cols = np.flatnonzero(self._data[rows].any(axis=0)).tolist()
                 block = self._data[np.ix_(rows, cols)]
-                terms = [t for i in rows for t in entries[i]]
                 # Lookups a source byte, in halves: packed, one a column
                 # (1.5 for uint64 lanes); combine, one a multiply, half
-                # that on pair tables.
+                # that on pair tables.  Packing every group instead makes
+                # rotated RS's sparse rows 1.2-1.7x slower from PAIR_MIN.
                 cost = len(cols) * (2 if len(rows) <= 4 else 3)
-                mults = int((block > 1).sum())
-                pays = (cost < 2 * mults, cost < mults)
-                groups.append((rows, cols, lane_tables(block), terms, pays))
-            self._plan = (zeros, copies, xors, groups)
-        return self._plan
+                if cost < int((block > 1).sum()) * (1 if pairs else 2):
+                    packed.append((rows, cols, lane_tables(block)))
+                else:
+                    entries.extend(t for _, terms in group for t in terms)
+            if entries:  # a unit row copies in the walk that reads its source
+                entries, copies = copies + entries, []
+            plan = self._plans[pairs] = (zeros, copies, entries, packed)
+        return plan
 
     def mul_buffer(self, buffers: np.ndarray) -> np.ndarray:
         """Multiply this matrix by a stack of byte buffers.
@@ -171,16 +175,15 @@ class GFMatrix:
             )
         if buffers.dtype != np.uint8:
             raise GaloisError("mul_buffer: buffers must be uint8")
-        zeros, copies, xors, groups = self._product_plan()
+        zeros, copies, entries, packed = self._product_plan(
+            buffers.shape[1] >= PAIR_MIN
+        )
         out = np.empty((self.rows, buffers.shape[1]), dtype=np.uint8)
         out[zeros] = 0
-        for i, j in copies:
+        for i, j, _ in copies:
             out[i] = buffers[j]
-        pairs = buffers.shape[1] >= PAIR_MIN
-        packed = [group for group in groups if group[4][pairs]]
-        rest = [t for group in groups if not group[4][pairs] for t in group[3]]
-        combine(out, buffers, xors + rest)
-        for rows, cols, tables, _, _ in packed:
+        combine(out, buffers, entries)
+        for rows, cols, tables in packed:
             lane_product(out, buffers, rows, cols, tables)
         return out
 
