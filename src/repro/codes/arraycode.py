@@ -16,12 +16,12 @@ Generic machinery provided here:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CodingError, UnrecoverableError
-from repro.codes.base import ErasureCode
+from repro.codes.base import DECODE_MEMO, ErasureCode
 from repro.codes.recipe import RecipeTerm, RepairRecipe
 from repro.linalg.matrix import GFMatrix
 from repro.linalg.span import express_in_span
@@ -76,42 +76,26 @@ class SubGeneratorCode(ErasureCode):
                 f"by {self.rows} rows"
             )
         row_len = first.size // self.rows
-        sub_rows: "List[int]" = []
-        buffers: "List[np.ndarray]" = []
-        for index in indices:
-            chunk = np.asarray(available[index], dtype=np.uint8)
-            view = chunk.reshape(self.rows, row_len)
-            for b in range(self.rows):
-                sub_rows.append(index * self.rows + b)
-                buffers.append(view[b])
-        subset = self._independent_sub_rows(sub_rows)
-        if subset is None:
+        chosen, inverse = self._memoized(
+            "_decoders", tuple(indices), lambda: self._decoder(indices), DECODE_MEMO
+        )
+        stack = np.stack([
+            np.asarray(available[r // self.rows], dtype=np.uint8)
+            .reshape(self.rows, row_len)[r % self.rows]
+            for r in chosen
+        ])
+        solved = inverse.mul_buffer(stack)
+        return solved.reshape(self._k, self.rows * row_len)
+
+    def _decoder(self, indices: Sequence[int]) -> "Tuple[List[int], GFMatrix]":
+        """The sub-rows decoding reads, and their generator rows' inverse."""
+        sub_rows = [i * self.rows + b for i in indices for b in range(self.rows)]
+        chosen = self._sub_generator.independent_rows(sub_rows, self._k * self.rows)
+        if chosen is None:
             raise UnrecoverableError(
                 f"{self.name}: survivors do not span the data sub-symbols"
             )
-        chosen_rows = [sub_rows[i] for i in subset]
-        stack = np.stack([buffers[i] for i in subset])
-        solved = self._sub_generator.take_rows(chosen_rows).solve(stack)
-        return solved.reshape(self._k, self.rows * row_len)
-
-    def _independent_sub_rows(
-        self, sub_rows: Sequence[int]
-    ) -> "Optional[List[int]]":
-        need = self._k * self.rows
-        if len(sub_rows) < need:
-            return None
-        chosen: "List[int]" = []
-        chosen_rows: "List[int]" = []
-        for pos, row in enumerate(sub_rows):
-            candidate = chosen_rows + [row]
-            if self._sub_generator.take_rows(candidate).rank() == len(
-                candidate
-            ):
-                chosen.append(pos)
-                chosen_rows.append(row)
-            if len(chosen) == need:
-                return chosen
-        return None
+        return chosen, self._sub_generator.take_rows(chosen).inverse()
 
     def is_recoverable(self, alive: Iterable[int]) -> bool:
         indices = self._validated_alive(alive, lost=None)

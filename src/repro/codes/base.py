@@ -8,12 +8,19 @@ padding arbitrary ``bytes`` payloads in and out of stripes.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Mapping
+from typing import Callable, Hashable, Iterable, List, Mapping, TypeVar
 
 import numpy as np
 
 from repro.errors import CodingError, UnrecoverableError
 from repro.codes.recipe import RepairRecipe
+
+T = TypeVar("T")
+
+#: Survivor patterns whose decoding inverse one code keeps, most recently
+#: used first: an inverse holds its product plans' lane tables (~590 KB
+#: for rotrs(12,4)).
+DECODE_MEMO = 16
 
 
 class ErasureCode(abc.ABC):
@@ -89,17 +96,31 @@ class ErasureCode(abc.ABC):
         erasure patterns over and over.
         """
         alive_list = self._validated_alive(alive, lost=lost)
-        key = (lost, tuple(alive_list))
-        memo = self.__dict__.setdefault("_recipes", {})
-        found = memo.get(key)
+        return self._memoized(
+            "_recipes", (lost, tuple(alive_list)),
+            lambda: self._repair_recipe(lost, alive_list),
+        )
+
+    def _memoized(
+        self, name: str, key: Hashable, solve: "Callable[[], T]",
+        limit: "int | None" = None,
+    ) -> T:
+        """``solve()``, run once per ``key`` and kept in this code's memo
+        ``name``; an unrecoverable pattern is kept too, and raised afresh
+        on every call.  With ``limit``, the memo keeps only that many of
+        the most recently used keys."""
+        memo = self.__dict__.setdefault(name, {})
+        found = memo.pop(key, None) if limit else memo.get(key)
         if found is None:
             try:
-                found = self._repair_recipe(lost, alive_list)
+                found = solve()
             except UnrecoverableError as exc:
-                found = exc.args
-            memo[key] = found
-        if isinstance(found, tuple):
-            raise UnrecoverableError(*found)
+                found = UnrecoverableError(*exc.args)
+            if limit and len(memo) >= limit:
+                memo.pop(next(iter(memo)), None)
+        memo[key] = found
+        if isinstance(found, UnrecoverableError):
+            raise UnrecoverableError(*found.args)
         return found
 
     @abc.abstractmethod

@@ -8,12 +8,12 @@ yields the decoding coefficients PPR distributes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CodingError, SingularMatrixError, UnrecoverableError
-from repro.codes.base import ErasureCode
+from repro.codes.base import DECODE_MEMO, ErasureCode
 from repro.codes.recipe import RepairRecipe, whole_chunk_recipe
 from repro.linalg.matrix import GFMatrix
 from repro.linalg.span import express_in_span
@@ -51,34 +51,27 @@ class GeneratorMatrixCode(ErasureCode):
 
     def decode_data(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
         indices = self._validated_alive(available.keys(), lost=None)
+        chosen, inverse = self._memoized(
+            "_decoders", tuple(indices), lambda: self._decoder(indices), DECODE_MEMO
+        )
+        stack = np.stack([np.asarray(available[i], dtype=np.uint8) for i in chosen])
+        return inverse.mul_buffer(stack)
+
+    def _decoder(self, indices: Sequence[int]) -> "Tuple[List[int], GFMatrix]":
+        """The k survivors decoding reads, and their generator rows' inverse."""
         if len(indices) < self.k:
             raise UnrecoverableError(
                 f"{self.name}: {len(indices)} survivors < k={self.k}"
             )
-        chosen = self._independent_subset(indices)
+        chosen = self._generator.independent_rows(indices, self.k)
         if chosen is None:
             raise UnrecoverableError(
                 f"{self.name}: surviving rows do not span the data space"
             )
-        submatrix = self._generator.take_rows(chosen)
-        stack = np.stack([np.asarray(available[i], dtype=np.uint8) for i in chosen])
         try:
-            return submatrix.solve(stack)
+            return chosen, self._generator.take_rows(chosen).inverse()
         except SingularMatrixError as exc:  # defensive; subset was checked
             raise UnrecoverableError(str(exc)) from exc
-
-    def _independent_subset(
-        self, indices: Sequence[int]
-    ) -> "List[int] | None":
-        """Greedily pick k independent generator rows from ``indices``."""
-        chosen: List[int] = []
-        for index in indices:
-            candidate = chosen + [index]
-            if self._generator.take_rows(candidate).rank() == len(candidate):
-                chosen.append(index)
-            if len(chosen) == self.k:
-                return chosen
-        return None
 
     # ------------------------------------------------------------------
     # Repair

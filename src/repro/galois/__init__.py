@@ -9,15 +9,11 @@ kernels here:
   Jerasure and most storage systems).
 * :mod:`repro.galois.field` wraps them in a scalar :class:`GF256` field
   object with add/sub/mul/div/pow/inverse.
-* :mod:`repro.galois.vector` provides the bulk data-path operations used on
-  chunk buffers: ``scale`` (multiply a buffer by a field constant),
-  ``xor_into`` (accumulate), and ``addmul`` (fused ``dst ^= a * src``) —
-  exactly the two primitives PPR distributes across servers (§4.1) — all
-  over one gather (through 16-bit per-coefficient pair tables,
-  or a ``GF_MUL`` row for short buffers) and ``combine``, the row-combine
-  loop every partial-result computation runs on; and ``lane_product``,
-  the packed-lane gather (one lookup per source byte for up to eight
-  matrix rows) under the multiply rows of every encode and decode.
+* :mod:`repro.galois.vector` provides the bulk data-path operations on
+  chunk buffers: ``scale``, ``xor_into`` and ``addmul`` (fused ``dst ^= a
+  * src``), exactly the two primitives PPR distributes across servers
+  (§4.1), and ``combine``, the row combine under every partial result.
+  They, and every encode and decode, run one planned table-gather walk.
 * :mod:`repro.galois.polynomial` implements polynomials over GF(2^8),
   used for Vandermonde/BCH-style reasoning and tested as an independent
   check on the field axioms.

@@ -7,28 +7,19 @@ These are the data-path primitives of the whole system.  A repair equation
 is computed entirely with constant multiplies and XORs — whether centrally
 (traditional repair) or split across servers (PPR partial operations).
 
-There are two multiply kernels, both ``np.take`` gathers (which hold the
-GIL) over source blocks widened to ``intp``.  A coefficient's *pair
-table* holds 65 536 ``uint16`` entries, entry ``(hi << 8) | lo`` being
-``c*hi << 8 | c*lo``, so one lookup multiplies two bytes.  Tables are
-built on first use and kept in a cache bounded to :data:`TABLE_CACHE`
-entries (4 MiB); buffers shorter than :data:`PAIR_MIN` gather through the
-256-byte ``GF_MUL`` row instead, so they never pay for building one.
-:func:`combine`, the row-combine loop on top of it, runs every partial
-result, :func:`addmul` and :func:`scale`.  The *packed-lane* product,
-:func:`lane_product`, runs the multiply rows of ``GFMatrix.mul_buffer``
-(every encode and decode): a column's 256-entry table holds its
-coefficient for up to eight rows in the byte lanes of a ``uint32`` or
-``uint64`` (:func:`lane_tables`), so one lookup per source byte serves
-them all.
-
-Both walk their buffers block by block, so source, product and
-destination stay cache-resident, and split a long call into contiguous
-block shares: the calling thread runs one, a module-level thread pool
-with one worker per further usable core runs the rest, overlapping only
-the GIL-free widening, XOR and copy steps.  A share touches only its own
-offsets of every buffer, and no scratch buffer is shared between calls,
-so the kernels are safe to call from several threads at once.
+Every bulk multiply (:func:`combine`, :func:`addmul`, :func:`scale` and
+``GFMatrix.mul_buffer``) is a :func:`plan` run by one walker.  A plan
+makes rows of 0/1 coefficients copies and XORs, and puts rows with a real
+multiply in groups of up to :data:`LANES`, each gathering through one
+``np.take`` table kind, whichever makes fewer lookups per source byte: a
+coefficient's 16-bit *pair table* (two bytes of one row a lookup, from
+:data:`PAIR_MIN` bytes on), its 256-byte ``GF_MUL`` row (one byte), or a
+source's *packed-lane* table (one byte for up to eight rows, in the byte
+lanes of a ``uint32``/``uint64``).  The walker steps :data:`BLOCK` bytes
+at a time and widens each source block to ``intp`` once per index width.
+It splits a long call into contiguous shares, one per usable core, and a
+share touches only its own offsets of every buffer and its own thread's
+scratch, so the kernels are safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -37,37 +28,33 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache, partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GaloisError
 from repro.galois.tables import GF_MUL
 
-#: Bytes multiplied per kernel step: large enough to amortise the per-call
-#: overhead, small enough that source, widened indices, table and
-#: destination fit in L2.
+#: Bytes of each buffer one walk step covers: large enough to amortise the
+#: per-step Python work, small enough that a step's source, indices,
+#: products and lane accumulators stay in L2.
 BLOCK = 128 * 1024
 
 #: Most pair tables cached at once (32 x 128 KiB = 4 MiB).
 TABLE_CACHE = 32
 
-#: Buffers shorter than this multiply through the coefficient's 256-byte
-#: ``GF_MUL`` row, one byte a lookup: building a pair table costs 15-100 us
-#: (mostly page faults on its 128 KiB), more than pairing saves on a short
-#: buffer whose coefficient misses the cache, as the simulator's 16 KiB
-#: stripes over many codes do.
+#: Buffers from this length on multiply one-lane rows through pair tables.
+#: Building one costs 15-100 us (mostly page faults on its 128 KiB), more
+#: than pairing saves on a shorter buffer whose coefficient misses the cache.
 PAIR_MIN = 32 * 1024
 
-#: A call is split only where every worker gets at least this many blocks;
+#: A call is split only where every worker gets at least this many steps;
 #: smaller ones (a 64 KiB repair buffer) run inline, where a thread
 #: hand-off would cost more than it saves.
 MIN_BLOCKS_PER_WORKER = 2
 
-#: Scratch bytes of one packed-product share: ``intp`` indices plus two
-#: lane buffers, 16 (``uint32`` lanes) or 24 (``uint64``) bytes a source
-#: byte, so it steps 32 or 21.3 KiB at a time; 1 MiB a call on two cores.
-LANE_SCRATCH = 512 * 1024
+#: Most output rows one packed lookup serves (``uint64`` lanes).
+LANES = 8
 
 
 def _usable_cores() -> int:
@@ -81,6 +68,8 @@ def _usable_cores() -> int:
 _WORKERS = _usable_cores() - 1
 _pool: "Optional[ThreadPoolExecutor]" = None
 _pool_lock = threading.Lock()
+#: Each thread's walk scratch, kept across calls so it faults in once.
+_local = threading.local()
 
 
 def _reset_pool() -> None:
@@ -122,96 +111,187 @@ def _pair_table(coeff: int) -> np.ndarray:
     return table
 
 
-def _gather(
-    table: np.ndarray, src: np.ndarray, wide: np.ndarray, dst: np.ndarray
-) -> None:
-    """``dst[:] = coeff * src`` over equal-length 1-D contiguous buffers.
-
-    ``table`` is a pair table (``uint16``, two bytes a lookup) or a
-    ``GF_MUL`` row (``uint8``, one byte); ``wide`` holds ``src``'s whole
-    lookups widened to ``intp``, which is what ``np.take`` indexes with.
-    """
-    whole = wide.size * table.itemsize
-    np.take(table, wide, mode="clip", out=dst[:whole].view(table.dtype))
-    if whole != src.size:
-        dst[-1] = table[src[-1]]  # pair entry (0 << 8) | lo is c*lo
+def table_width(nbytes: int) -> int:
+    """Bytes one one-lane lookup multiplies in ``nbytes``-long buffers: 2
+    (pair tables) from :data:`PAIR_MIN` on, else 1 (``GF_MUL`` rows).  A
+    plan holds for every length of its width."""
+    return 2 if nbytes >= PAIR_MIN else 1
 
 
-#: One use of a source: output key, output buffer, coefficient and its
-#: lookup table (``None`` for 0 and 1, which need no multiply).
-_Use = Tuple[Any, np.ndarray, int, Optional[np.ndarray]]
-#: A source buffer with every use of it, so each block is widened once.
-_Group = Tuple[np.ndarray, "List[_Use]"]
+class Plan(NamedTuple):
+    """:func:`plan`'s output; rows and sources are numbered in order of
+    first appearance."""
+
+    outs: tuple  #: output keys, by row number
+    sources: tuple  #: source keys, by source number
+    zeros: tuple  #: rows filled with zero
+    copies: tuple  #: ``(row, source)`` pairs copied whole, outside the walk
+    #: per walked source, ``(source, units, mults, lanes)``: ``(row, fresh)``
+    #: copies or XORs, ``(row, coeff, fresh)`` one-lane multiplies, ``(group,
+    #: lane table, first)`` packed gathers.  Fresh uses write, others XOR.
+    walk: tuple
+    groups: tuple  #: packed groups, as ``(lane dtype, rows)``
+    coeffs: tuple  #: coefficients of the one-lane multiplies
+    width: int  #: their index width (:func:`table_width`)
+
+    def apply(self, dsts: "List[np.ndarray]", srcs: "List[np.ndarray]") -> None:
+        """Run on validated equal-shape buffers, listed by row and source."""
+        for row in self.zeros:
+            dsts[row][...] = 0
+        for row, source in self.copies:
+            np.copyto(dsts[row], srcs[source])
+        rows = len(dsts[0]) if self.walk else 0
+        if rows:
+            per_row = dsts[0].size // rows
+            step = max(1, BLOCK // max(1, per_row))
+            tables = {c: _pair_table(c) if self.width == 2 else GF_MUL[c] for c in self.coeffs}
+            _in_shares(partial(_walk, self, srcs, dsts, tables, step, per_row), rows, step)
+
+
+def plan(entries: "Iterable[Tuple[Any, Any, int]]", width: int) -> Plan:
+    """Plan ``out[o] = XOR coeff * sources[s]`` over ``(o, s, coeff)``
+    entries, for buffers of one :func:`table_width`.  Entries naming one
+    ``(o, s)`` add up, and a row whose coefficients are all 0 is zeroed.
+    Coefficients are validated here, before any buffer is written."""
+    outs: "Dict[Any, int]" = {}  # output and source keys -> their numbers
+    keys: "Dict[Any, int]" = {}
+    rows: "List[Dict[int, int]]" = []  # per row, source number -> coefficient
+    for o, s, coeff in entries:
+        _check_coeff(coeff)
+        if outs.setdefault(o, len(outs)) == len(rows):
+            rows.append({})
+        if coeff:
+            row, j = rows[outs[o]], keys.setdefault(s, len(keys))
+            row[j] = row.get(j, 0) ^ coeff
+    rows = [{j: c for j, c in row.items() if c} for row in rows]
+    dense = [i for i, row in enumerate(rows) if max(row.values(), default=0) > 1]
+    one_lane = [i for i, row in enumerate(rows) if row and max(row.values()) == 1]
+    groups: "List[Tuple[np.dtype, List[int]]]" = []
+    lanes: "List[list]" = [[] for _ in keys]
+    for at in range(0, len(dense), LANES):
+        group = dense[at : at + LANES]
+        cols = sorted({j for i in group for j in rows[i]})
+        mults = sum(c > 1 for i in group for c in rows[i].values())
+        # Lookups a source byte, in halves: packed, one a column (1.5 for
+        # uint64 lanes); one-lane, one a multiply, half that through pair
+        # tables.  Packing every group instead makes rotated RS's sparse
+        # rows 1.2-1.7x slower from PAIR_MIN.
+        if len(cols) * (2 if len(group) <= 4 else 3) < mults * 2 // width:
+            # Byte lane l of column q's entry x is row l's coefficient * x.
+            block = np.array([[rows[i].get(j, 0) for j in cols] for i in group], np.uint8)
+            packed = np.zeros((len(cols), 256, 4 if len(group) <= 4 else 8), np.uint8)
+            packed[:, :, : len(group)] = GF_MUL[block.T].transpose(0, 2, 1)
+            tables = packed.view(f"<u{packed.shape[2]}")[:, :, 0]
+            for q, j in enumerate(cols):
+                lanes[j].append((len(groups), tables[q], q == 0))
+            groups.append((tables.dtype, group))
+        else:
+            one_lane += group
+    uses: "List[list]" = [[] for _ in keys]
+    for i in one_lane:
+        first = min(rows[i])  # the source whose use writes the row
+        for j, c in rows[i].items():
+            uses[j].append((i, c, j == first))
+    # A unit row whose source nothing else reads is one whole-buffer copy.
+    copies = [(i, j) for j, used in enumerate(uses) if len(used) == 1 and not lanes[j]
+              for i, c, _ in used if c == 1 and len(rows[i]) == 1]
+    for _, j in copies:
+        uses[j] = []
+    walk = [
+        (j, tuple((i, fresh) for i, c, fresh in used if c == 1),
+         tuple(use for use in used if use[1] > 1), tuple(lanes[j]))
+        for j, used in enumerate(uses) if used or lanes[j]
+    ]
+    coeffs = tuple(sorted({c for i in one_lane for c in rows[i].values() if c > 1}))
+    zeros = tuple(i for i, row in enumerate(rows) if not row)
+    return Plan(
+        tuple(outs), tuple(keys), zeros, tuple(copies), tuple(walk),
+        tuple(groups), coeffs, width,
+    )
+
+
+#: Plans of recent :func:`combine`, :func:`addmul` and :func:`scale` calls,
+#: which repeat a few entry sets (a recipe's terms, one coefficient).
+_planned = lru_cache(maxsize=TABLE_CACHE)(plan)
 
 
 def _walk(
-    groups: "List[_Group]", accumulate: bool, step: int, start: int, stop: int
+    plan: Plan, srcs: "List[np.ndarray]", dsts: "List[np.ndarray]",
+    tables: "Dict[int, np.ndarray]", step: int, per_row: int, start: int, stop: int,
 ) -> None:
-    """Apply ``groups`` to leading-axis rows ``[start, stop)``, block-wise."""
-    scratch = index = None
+    """Apply ``plan`` to leading-axis rows ``[start, stop)``, ``step`` at a
+    time: each source block is widened once per index width and gathered
+    into every row and group that reads it."""
+    # This thread's scratch: one-lane products, byte and pair indices, a
+    # lane temporary, one accumulator per group.  A plan touches only the
+    # pieces it uses, and a buffer under 4 MiB gets no huge pages (numpy
+    # asks for them from there on), so untouched pieces stay unmapped.
+    n = min(step, stop - start) * per_row
+    carved = getattr(_local, "carved", None)  # the views of the last call
+    if carved is None or carved[0] != (n, plan.groups):
+        items = [dtype.itemsize * n for dtype, _ in plan.groups]
+        sizes = [n, 8 * n, 8 * (n // 2), max(items, default=0), *items]
+        starts = [sum(-(-size // 64) * 64 for size in sizes[:k]) for k in range(len(sizes) + 1)]
+        scratch = getattr(_local, "scratch", None)
+        if scratch is None or scratch.size < starts[-1]:
+            scratch = _local.scratch = np.empty(starts[-1], np.uint8)
+        products, narrow, pairs, tmp, *accs = (scratch[a : a + z] for a, z in zip(starts, sizes))
+        accs = [acc.view(dt) for acc, (dt, _) in zip(accs, plan.groups)]
+        tmps = [tmp[: acc.nbytes].view(acc.dtype) for acc in accs]
+        views = products, narrow.view(np.intp), pairs.view(np.intp), accs, tmps
+        carved = _local.carved = (n, plan.groups), views
+    products, narrow, pairs, accs, tmps = carved[1]
+    pair = plan.width == 2 and bool(plan.coeffs)
     for i in range(start, stop, step):
         end = min(i + step, stop)
-        written = set()
-        for src, uses in groups:
-            block = src[i:end]
-            flat = wide = None
-            for o, dst, coeff, table in uses:
-                part = dst[i:end]
-                fresh = not accumulate and o not in written
-                written.add(o)
-                if coeff == 0:
-                    if fresh:
-                        part[...] = 0
-                    continue
-                product = block
-                if table is not None:
-                    if wide is None:
-                        flat = np.ascontiguousarray(block).reshape(-1)
-                        whole = flat.size - flat.size % table.itemsize
-                        units = flat[:whole].view(table.dtype)
-                        if index is None or index.size < units.size:
-                            index = np.empty(units.size, np.intp)
-                        wide = index[: units.size]
-                        np.copyto(wide, units)
-                    if fresh and part.flags.c_contiguous:
-                        _gather(table, flat, wide, part.reshape(-1))
-                        continue
-                    if scratch is None or scratch.size < flat.size:
-                        scratch = np.empty(flat.size, np.uint8)
-                    _gather(table, flat, wide, scratch[: flat.size])
-                    product = scratch[: flat.size].reshape(part.shape)
+        m = (end - i) * per_row
+        if m != n:  # the share's last, short step
+            products, narrow, pairs = products[:m], narrow[:m], pairs[: m // 2]
+            accs, tmps = [acc[:m] for acc in accs], [tmp[:m] for tmp in tmps]
+        whole = m - m % 2 if pair else m
+        for j, units, mults, lanes in plan.walk:
+            block = srcs[j][i:end]
+            for row, fresh in units:
+                part = dsts[row][i:end]
                 if fresh:
-                    part[...] = product
+                    np.copyto(part, block)
+                else:
+                    np.bitwise_xor(part, block, out=part)
+            if not (mults or lanes):
+                continue
+            flat = block.ravel()
+            if lanes or not pair:
+                np.copyto(narrow, flat)
+            if mults and pair:
+                np.copyto(pairs, flat[:whole].view(np.uint16))
+            index = pairs if pair else narrow
+            for row, coeff, fresh in mults:
+                table = tables[coeff]
+                part = dsts[row][i:end]
+                direct = fresh and part.flags.c_contiguous
+                product = part.reshape(-1) if direct else products
+                # Indices never leave a table; "wrap" gathers faster than "clip".
+                table.take(index, mode="wrap", out=product[:whole].view(table.dtype))
+                if whole != m:
+                    product[-1] = table[flat[-1]]  # pair entry (0 << 8) | lo is c*lo
+                if direct:
+                    continue
+                product = product.reshape(part.shape)
+                if fresh:
+                    np.copyto(part, product)
                 else:
                     np.bitwise_xor(part, product, out=part)
-
-
-def _run(
-    out: Any,
-    sources: Any,
-    entries: "Iterable[Tuple[Any, Any, int]]",
-    accumulate: bool,
-) -> None:
-    uses: "Dict[Any, _Group]" = {}
-    first = None
-    for o, s, coeff in entries:
-        _check_coeff(coeff)
-        dst, src = _as_u8(out[o], "out"), _as_u8(sources[s], "source")
-        first = dst if first is None else first
-        if dst.shape != first.shape or src.shape != first.shape:
-            raise GaloisError("combine: shape mismatch")
-        if coeff < 2:
-            table = None
-        elif first.size < PAIR_MIN:
-            table = GF_MUL[coeff]
-        else:
-            table = _pair_table(coeff)
-        uses.setdefault(s, (src, []))[1].append((o, dst, coeff, table))
-    if first is None:
-        return
-    rows = len(first)
-    step = max(1, BLOCK * rows // max(1, first.size))
-    _in_shares(partial(_walk, list(uses.values()), accumulate, step), rows, step)
+            for g, table, first in lanes:
+                if first:
+                    table.take(narrow, mode="wrap", out=accs[g])
+                else:
+                    table.take(narrow, mode="wrap", out=tmps[g])
+                    np.bitwise_xor(accs[g], tmps[g], out=accs[g])
+        for (_, rows), acc, shifted in zip(plan.groups, accs, tmps):
+            for lane, row in enumerate(rows):
+                part = dsts[row][i:end]
+                value = np.right_shift(acc, 8 * lane, out=shifted) if lane else acc
+                np.copyto(part, value.reshape(part.shape), casting="unsafe")
 
 
 def _in_shares(walk: "Callable[[int, int], None]", rows: int, step: int) -> None:
@@ -235,54 +315,24 @@ def _in_shares(walk: "Callable[[int, int], None]", rows: int, step: int) -> None
         future.result()
 
 
-def lane_tables(coeffs: np.ndarray) -> np.ndarray:
-    """Per column of a ``(g <= 8, cols)`` block, a 256-entry little-endian
-    ``uint32`` (``g > 4``: ``uint64``) table whose byte lane ``l`` of entry
-    ``x`` is ``coeffs[l, col] * x``."""
-    g, cols = coeffs.shape
-    width = 4 if g <= 4 else 8
-    lanes = np.zeros((cols, 256, width), np.uint8)
-    lanes[:, :, :g] = GF_MUL[coeffs.T].transpose(0, 2, 1)
-    tables = lanes.view(f"<u{width}")[:, :, 0]
-    tables.setflags(write=False)
-    return tables
-
-
-def lane_product(
-    out: np.ndarray, sources: np.ndarray, rows: "List[int]", cols: "List[int]",
-    tables: np.ndarray,
-) -> None:
-    """``out[rows[l]] = XOR_j coeff(l, j) * sources[cols[j]]`` for every lane.
-
-    ``tables`` come from :func:`lane_tables`.  Each source block is
-    widened once and gathered once into a packed accumulator, whose lanes
-    are shifted out into the output rows after the last source.
-    """
-    def walk(begin: int, end: int) -> None:
-        step = min(LANE_SCRATCH // (8 + 2 * tables.itemsize), end - begin) or 1
-        wide = np.empty(step, np.intp)
-        acc, tmp = np.empty((2, step), tables.dtype)
-        for start in range(begin, end, step):
-            stop = min(start + step, end)
-            w, a, t = wide[: stop - start], acc[: stop - start], tmp[: stop - start]
-            for q, j in enumerate(cols):
-                np.copyto(w, sources[j, start:stop])
-                # Byte indices never wrap a 256-entry table; "wrap"
-                # gathers ~13% faster than "clip" here.
-                np.take(tables[q], w, mode="wrap", out=t if q else a)
-                if q:
-                    np.bitwise_xor(a, t, out=a)
-            for lane, r in enumerate(rows):
-                part = np.right_shift(a, 8 * lane, out=t) if lane else a
-                np.copyto(out[r, start:stop], part, casting="unsafe")
-
-    _in_shares(walk, out.shape[1], BLOCK)
+def _run(out: Any, sources: Any, entries: "Iterable[Tuple[Any, Any, int]]") -> None:
+    entries = tuple(entries)
+    if not entries:
+        return
+    first = _as_u8(out[entries[0][0]], "out")
+    product = _planned(entries, table_width(first.size))
+    dsts = [_as_u8(out[o], "out") for o in product.outs]
+    srcs = [_as_u8(sources[s], "source") for s in product.sources]
+    for buf in dsts + srcs:
+        if buf.shape != first.shape:
+            raise GaloisError("combine: shape mismatch")
+    product.apply(dsts, srcs)
 
 
 def scale(coeff: int, buf: np.ndarray) -> np.ndarray:
     """Return ``coeff * buf`` elementwise over GF(2^8) (new array)."""
     out = np.empty_like(_as_u8(buf, "buf"))
-    _run([out], [buf], [(0, 0, coeff)], accumulate=False)
+    _run([out], [buf], [(0, 0, coeff)])
     return out
 
 
@@ -306,7 +356,8 @@ def addmul(dst: np.ndarray, coeff: int, src: np.ndarray) -> np.ndarray:
     _as_u8(src, "src")
     if dst.shape != src.shape:
         raise GaloisError("addmul: shape mismatch")
-    _run([dst], [src], [(0, 0, coeff)], accumulate=True)
+    # dst's own copy onto itself is a no-op numpy skips.
+    _run([dst], [dst, src], [(0, 0, 1), (0, 1, coeff)])
     return dst
 
 
@@ -318,10 +369,7 @@ def combine(
     ``entries`` are ``(o, s, coeff)`` triples — the shape of a recipe's
     ``(lost_row, helper_row, coeff)`` — and ``out`` / ``sources`` anything
     they index: a 2-D array, a list or a dict of equal-shape buffers.  The
-    ``out`` buffers need not be initialised: the first entry naming a row
-    writes it, later ones accumulate, and rows no entry names are left
-    alone.  Walked block-outer, entry-inner, so every coefficient applied
-    to a source block finds it cache-resident; large calls are split into
-    contiguous block shares, one per usable core.
+    ``out`` buffers need not be initialised: every row an entry names is
+    written, and rows no entry names are left alone.
     """
-    _run(out, sources, entries, accumulate=False)
+    _run(out, sources, entries)

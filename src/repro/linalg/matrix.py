@@ -8,17 +8,14 @@ matrix-buffer product runs on the kernels of :mod:`repro.galois.vector`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from repro.errors import GaloisError, SingularMatrixError
 from repro.galois.field import gf256
 from repro.galois.tables import GF_MUL
-from repro.galois.vector import PAIR_MIN, combine, lane_product, lane_tables
-
-#: Most output rows one packed lookup serves (``uint64`` lanes).
-LANES = 8
+from repro.galois.vector import Plan, plan, table_width
 
 
 class GFMatrix:
@@ -43,7 +40,7 @@ class GFMatrix:
             array = array.copy()
         array.setflags(write=False)
         self._data = array
-        self._plans: "Dict[bool, tuple]" = {}
+        self._plans: "Dict[int, Plan]" = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -123,50 +120,13 @@ class GFMatrix:
         # Row i of the product combines the right-hand rows by row i.
         return GFMatrix(self.mul_buffer(other._data))
 
-    def _product_plan(self, pairs: bool) -> tuple:
-        """Zero rows, unit rows to copy, ``combine`` entries and
-        the groups of up to :data:`LANES` multiply rows packed at this
-        length class (``pairs``: from :data:`PAIR_MIN`), each as its rows,
-        columns and lane tables.  Built on first use of the class."""
-        plan = self._plans.get(pairs)
-        if plan is None:
-            zeros, copies, entries, dense, packed = [], [], [], [], []
-            for i, row in enumerate(self._data.tolist()):
-                terms = [(i, j, c) for j, c in enumerate(row) if c]
-                if max(row, default=0) > 1:
-                    dense.append((i, terms))
-                elif len(terms) == 1:
-                    copies.extend(terms)
-                elif terms:
-                    entries.extend(terms)
-                else:
-                    zeros.append(i)
-            for at in range(0, len(dense), LANES):
-                group = dense[at : at + LANES]
-                rows = [i for i, _ in group]
-                cols = np.flatnonzero(self._data[rows].any(axis=0)).tolist()
-                block = self._data[np.ix_(rows, cols)]
-                # Lookups a source byte, in halves: packed, one a column
-                # (1.5 for uint64 lanes); combine, one a multiply, half
-                # that on pair tables.  Packing every group instead makes
-                # rotated RS's sparse rows 1.2-1.7x slower from PAIR_MIN.
-                cost = len(cols) * (2 if len(rows) <= 4 else 3)
-                if cost < int((block > 1).sum()) * (1 if pairs else 2):
-                    packed.append((rows, cols, lane_tables(block)))
-                else:
-                    entries.extend(t for _, terms in group for t in terms)
-            if entries:  # a unit row copies in the walk that reads its source
-                entries, copies = copies + entries, []
-            plan = self._plans[pairs] = (zeros, copies, entries, packed)
-        return plan
-
     def mul_buffer(self, buffers: np.ndarray) -> np.ndarray:
         """Multiply this matrix by a stack of byte buffers.
 
         ``buffers`` has shape ``(cols, nbytes)``; the result has shape
-        ``(rows, nbytes)``.  This is the bulk encode/decode operation:
-        multiply rows go through :func:`~repro.galois.vector.lane_product`
-        where that pays, every other row through ``combine``.
+        ``(rows, nbytes)``.  This is the bulk encode/decode operation, run
+        by :func:`repro.galois.vector.plan`'s walker on a plan built once
+        per matrix and table width.
         """
         if buffers.ndim != 2 or buffers.shape[0] != self.cols:
             raise GaloisError(
@@ -175,16 +135,14 @@ class GFMatrix:
             )
         if buffers.dtype != np.uint8:
             raise GaloisError("mul_buffer: buffers must be uint8")
-        zeros, copies, entries, packed = self._product_plan(
-            buffers.shape[1] >= PAIR_MIN
-        )
+        width = table_width(buffers.shape[1])
+        product = self._plans.get(width)
+        if product is None:
+            rows = self._data.tolist()  # with no columns, each row a zero row
+            entries = [(i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row or [0])]
+            product = self._plans[width] = plan(entries, width)
         out = np.empty((self.rows, buffers.shape[1]), dtype=np.uint8)
-        out[zeros] = 0
-        for i, j, _ in copies:
-            out[i] = buffers[j]
-        combine(out, buffers, entries)
-        for rows, cols, tables in packed:
-            lane_product(out, buffers, rows, cols, tables)
+        product.apply([out[i] for i in product.outs], [buffers[j] for j in product.sources])
         return out
 
     # ------------------------------------------------------------------
@@ -195,72 +153,49 @@ class GFMatrix:
         if self.rows != self.cols:
             raise GaloisError("only square matrices can be inverted")
         n = self.rows
-        work = self._data.astype(np.uint8).copy()
-        inv = np.eye(n, dtype=np.uint8)
-        for col in range(n):
-            pivot = -1
-            for r in range(col, n):
-                if work[r, col]:
-                    pivot = r
-                    break
-            if pivot < 0:
-                raise SingularMatrixError(
-                    f"matrix is singular (no pivot in column {col})"
-                )
-            if pivot != col:
-                work[[col, pivot]] = work[[pivot, col]]
-                inv[[col, pivot]] = inv[[pivot, col]]
-            pivot_inv = gf256.inv(int(work[col, col]))
-            if pivot_inv != 1:
-                work[col] = GF_MUL[pivot_inv][work[col]]
-                inv[col] = GF_MUL[pivot_inv][inv[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = int(work[r, col])
-                if factor == 0:
-                    continue
-                work[r] ^= GF_MUL[factor][work[col]]
-                inv[r] ^= GF_MUL[factor][inv[col]]
-        return GFMatrix(inv)
+        work = np.hstack([self._data, np.eye(n, dtype=np.uint8)])
+        rank = _reduce(work, n)
+        if rank < n:
+            raise SingularMatrixError(f"matrix is singular (rank {rank} < {n})")
+        return GFMatrix(work[:, n:])
 
     def rank(self) -> int:
         """Rank via row echelon reduction."""
-        work = self._data.astype(np.uint8).copy()
-        rows, cols = work.shape
-        rank = 0
-        for col in range(cols):
-            pivot = -1
-            for r in range(rank, rows):
-                if work[r, col]:
-                    pivot = r
-                    break
-            if pivot < 0:
-                continue
-            if pivot != rank:
-                work[[rank, pivot]] = work[[pivot, rank]]
-            pivot_inv = gf256.inv(int(work[rank, col]))
-            if pivot_inv != 1:
-                work[rank] = GF_MUL[pivot_inv][work[rank]]
-            for r in range(rows):
-                if r == rank:
-                    continue
-                factor = int(work[r, col])
-                if factor:
-                    work[r] ^= GF_MUL[factor][work[rank]]
-            rank += 1
-            if rank == rows:
-                break
-        return rank
+        return _reduce(self._data.copy(), self.cols)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A x = rhs`` for a stack of byte buffers.
+    def independent_rows(self, candidates: Sequence[int], need: int) -> "List[int] | None":
+        """The first ``need`` of the ``candidates`` row indices, taken in
+        order, each independent of those taken before it; None if fewer."""
+        chosen: List[int] = []
+        for row in candidates:
+            if self.take_rows(chosen + [row]).rank() > len(chosen):
+                chosen.append(row)
+                if len(chosen) == need:
+                    return chosen
+        return None
 
-        ``rhs`` has shape ``(rows, nbytes)``.  Uses the explicit inverse,
-        which erasure decoding wants anyway (the inverse rows *are* the
-        decoding coefficients).
-        """
-        return self.inverse().mul_buffer(rhs)
+
+def _reduce(work: np.ndarray, cols: int) -> int:
+    """Reduce the first ``cols`` columns of ``work`` to reduced row echelon
+    form in place, applying each row operation to the whole row; returns
+    the rank of those columns."""
+    rank = 0
+    for col in range(cols):
+        below = np.flatnonzero(work[rank:, col])
+        if not below.size:
+            continue
+        pivot = rank + int(below[0])
+        if pivot != rank:
+            work[[rank, pivot]] = work[[pivot, rank]]
+        if work[rank, col] != 1:
+            work[rank] = GF_MUL[gf256.inv(int(work[rank, col]))][work[rank]]
+        for r in np.flatnonzero(work[:, col]):
+            if r != rank:
+                work[r] ^= GF_MUL[work[r, col]][work[rank]]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank

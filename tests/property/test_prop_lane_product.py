@@ -1,9 +1,9 @@
-"""Property-based tests: the packed-lane matrix-buffer product.
+"""Property-based tests: packed-lane products.
 
-``GFMatrix.mul_buffer`` computes groups of multiply rows with one packed
-table lookup per source byte (``galois.vector.lane_product``) and the rest
-through ``combine``; every path must equal the per-entry ``GF_MUL``
-definition of the product, byte for byte.
+``GFMatrix.mul_buffer`` and ``combine`` compute groups of multiply rows
+with one packed table lookup per source byte and the rest one row a
+lookup, in one walk (``galois.vector.plan``); every table kind must equal
+the per-entry ``GF_MUL`` definition of the product, byte for byte.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.codes.registry import make_code
 from repro.galois.tables import GF_MUL
-from repro.galois.vector import BLOCK, LANE_SCRATCH, PAIR_MIN
-from repro.linalg.matrix import LANES, GFMatrix
+from repro.galois.vector import BLOCK, LANES, PAIR_MIN, combine, plan, table_width
+from repro.linalg.matrix import GFMatrix
 
 
 def reference_product(matrix: np.ndarray, buffers: np.ndarray) -> np.ndarray:
@@ -52,14 +52,11 @@ def gf_matrices(draw):
     return np.stack([draw(matrix_rows(cols)) for _ in range(rows)])
 
 
-#: A packed walk's step with ``uint32`` and with ``uint64`` lanes.
-STEPS = (LANE_SCRATCH // 16, LANE_SCRATCH // 24)
-
-#: Lengths around every edge the kernels have: empty, one byte, odd, both
-#: packed steps, the pair-table threshold and the two-share split.
+#: Lengths around every edge the kernels have: empty, one byte, odd, the
+#: walk's step, the pair-table threshold and the two-share split.
 edge_lengths = st.sampled_from(
     [0, 1, 2, 3, 7, 255, 1023, PAIR_MIN - 1, PAIR_MIN + 1, 4 * BLOCK + 1]
-    + [step + d for step in STEPS for d in (-1, 0, 1, step + 1)]
+    + [BLOCK + d for d in (-1, 0, 1, BLOCK + 1)]
 )
 
 
@@ -158,3 +155,65 @@ def test_concurrent_first_use_of_one_matrix():
     assert not any(thread.is_alive() for thread in threads)
     for stack, out in zip(stacks, results):
         assert np.array_equal(out, reference_product(matrix, stack))
+
+
+def reference_combine(out_keys, sources, entries):
+    """``out[o] = XOR coeff * sources[s]``, one entry at a time."""
+    out = {o: np.zeros_like(sources[0]) for o in out_keys}
+    for o, s, coeff in entries:
+        out[o] ^= GF_MUL[coeff][sources[s]]
+    return out
+
+
+@st.composite
+def shared_source_entries(draw):
+    """Several rows over a few shared sources, mostly real multiplies, so
+    ``combine`` packs some of them (and keeps 0s, 1s and repeats)."""
+    n_sources = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(2, LANES + 3))
+    entries = []
+    for o in range(n_rows):
+        for s in draw(st.lists(st.integers(0, n_sources - 1), min_size=1, max_size=6)):
+            entries.append((o, s, draw(st.one_of(st.integers(2, 255), coefficient))))
+    return n_sources, n_rows, entries
+
+
+def laid_out(rng, count, length, layout):
+    """``count`` uint8 buffers of ``length`` bytes: contiguous, strided or
+    2-D (two rows, one of them a column slice)."""
+    if layout == "contiguous":
+        return [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(count)]
+    if layout == "strided":
+        return [rng.integers(0, 256, 2 * length, dtype=np.uint8)[1::2] for _ in range(count)]
+    half = -(-length // 2)
+    return [rng.integers(0, 256, (2, half + 1), dtype=np.uint8)[:, 1:] for _ in range(count)]
+
+
+@given(shared_source_entries(),
+       st.sampled_from([1, 7, 4097, PAIR_MIN - 1, PAIR_MIN + 5, BLOCK + 3]),
+       st.sampled_from(["contiguous", "strided", "2-D"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_combine_rows_sharing_sources_match_reference(drawn, length, layout, seed):
+    n_sources, n_rows, entries = drawn
+    rng = np.random.default_rng(seed)
+    sources = laid_out(rng, n_sources, length, layout)
+    out = laid_out(rng, n_rows, length, layout)  # stale bytes must not leak
+    combine(out, sources, entries)
+    expected = reference_combine(range(n_rows), sources, entries)
+    for o in range(n_rows):
+        assert np.array_equal(out[o], expected[o])
+
+
+@pytest.mark.parametrize("length", [4097, PAIR_MIN + 1])
+def test_combine_packs_rows_that_share_sources(length):
+    """Four rows over three sources take one packed lookup a source byte
+    in both length classes, and still give the reference bytes."""
+    entries = [(o, s, 2 + 17 * o + 5 * s) for o in range(4) for s in range(3)]
+    assert plan(entries, table_width(length)).groups
+    rng = np.random.default_rng(length)
+    out = [np.empty(length, np.uint8) for _ in range(4)]
+    for _ in range(2):  # the second call meets the first one's scratch
+        sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(3)]
+        combine(out, sources, entries)
+        expected = reference_combine(range(4), sources, entries)
+        assert all(np.array_equal(out[o], expected[o]) for o in range(4))

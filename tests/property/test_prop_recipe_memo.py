@@ -1,12 +1,16 @@
-"""Property-based tests: a memoized repair recipe is the one a solve gives.
+"""Property-based tests: a memoized repair recipe or decoder is the one a
+solve gives.
 
 ``ErasureCode.repair_recipe`` solves each ``(lost, alive)`` pattern once
-per code object, and ``make_code`` shares one object per spec, so every
-check compares the shared instance against a fresh, memo-free one.
+per code object, ``decode_data`` each survivor set, and ``make_code``
+shares one object per spec, so every check compares the shared instance
+against a fresh, memo-free one.
 """
 
 import inspect
+import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +27,7 @@ from repro.codes import (
     available_codes,
     make_code,
 )
+from repro.codes.base import DECODE_MEMO
 from repro.errors import UnrecoverableError
 
 #: One spec per built-in family, with a constructor for a fresh instance.
@@ -107,3 +112,47 @@ def test_unrecoverable_pattern_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(UnrecoverableError, match="unrecoverable"):
             code.repair_recipe(0, [1, 2])
+
+
+def decoded(code, available):
+    """The decoded data stack, or the error of an unrecoverable pattern."""
+    try:
+        return code.decode_data(available)
+    except UnrecoverableError as exc:
+        return exc
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_memoized_decode_matches_a_fresh_solve(family, data):
+    spec, fresh = FAMILIES[family]
+    shared = make_code(spec)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, 256, (shared.k, 8 * shared.rows), dtype=np.uint8)
+    encoded = shared.encode(stack)
+    alive = data.draw(st.permutations(range(shared.n)).flatmap(
+        lambda order: st.integers(0, shared.n).map(lambda m: order[:m])
+    ))
+    available = {i: encoded[i] for i in alive}
+    expected = decoded(fresh(), available)
+    first = decoded(shared, available)
+    again = decoded(shared, available)
+    if isinstance(expected, UnrecoverableError):
+        for got in (first, again):
+            assert isinstance(got, UnrecoverableError)
+            assert str(got) == str(expected)
+        assert first is not again
+    else:
+        assert np.array_equal(expected, stack)
+        assert np.array_equal(first, stack) and np.array_equal(again, stack)
+
+
+def test_decode_memo_is_bounded():
+    code = ReedSolomonCode(6, 3)
+    stack = np.arange(6 * 4, dtype=np.uint8).reshape(6, 4)
+    encoded = code.encode(stack)
+    patterns = list(itertools.combinations(range(code.n), code.k))
+    assert len(patterns) > DECODE_MEMO
+    for alive in patterns:
+        assert np.array_equal(code.decode_data({i: encoded[i] for i in alive}), stack)
+        assert len(code._decoders) <= DECODE_MEMO

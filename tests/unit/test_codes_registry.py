@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.codes import registry
 from repro.codes import (
     CauchyReedSolomonCode,
     LocalReconstructionCode,
@@ -55,7 +56,18 @@ def test_available_codes_lists_families():
         assert family in names
 
 
-def test_register_custom():
+@pytest.fixture
+def restored_registry():
+    """Put the global family table back as it was, so a family registered
+    here leaks into no later test."""
+    saved = dict(registry._FACTORIES)
+    yield
+    registry._FACTORIES.clear()
+    registry._FACTORIES.update(saved)
+    make_code.cache_clear()
+
+
+def test_register_custom(restored_registry):
     register_code("myrs", ReedSolomonCode)
     assert isinstance(make_code("myrs(4,2)"), ReedSolomonCode)
 
@@ -65,7 +77,7 @@ def test_make_code_shares_one_instance_per_spec():
     assert make_code("rs(6,3)") is not make_code("rs(4,2)")
 
 
-def test_register_code_replaces_a_family():
+def test_register_code_replaces_a_family(restored_registry):
     register_code("swapped", ReedSolomonCode)
     assert type(make_code("swapped(4,2)")) is ReedSolomonCode
     register_code("swapped", CauchyReedSolomonCode)

@@ -397,3 +397,34 @@ def test_forked_child_runs_a_parallel_sized_combine(monkeypatch, rng):
             pytest.fail("forked child hung in combine")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("length", [4096, PAIR_MIN + 1])
+def test_warm_calls_allocate_no_scratch(monkeypatch, rng, length):
+    """A second call of the same size reuses the thread's scratch: the
+    only ``np.empty`` left is ``mul_buffer``'s output."""
+    from repro.linalg.matrix import GFMatrix
+
+    sizes = []
+    empty = np.empty
+
+    def counting_empty(shape, *args, **kwargs):
+        sizes.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    sources = rng.integers(0, 256, (3, length), dtype=np.uint8)
+    out = np.empty((3, length), dtype=np.uint8)
+    entries = [(o, s, 2 + o + s) for o in range(3) for s in range(3)]
+    matrix = GFMatrix(rng.integers(0, 256, (4, 3), dtype=np.uint8))
+    calls = [
+        lambda: combine(out, sources, entries),  # packed
+        lambda: combine(out, sources, [(0, 0, 7), (0, 1, 1)]),  # one lane
+        lambda: addmul(out[0], 9, sources[2]),
+        lambda: matrix.mul_buffer(sources),
+    ]
+    for call in calls:
+        call()
+        monkeypatch.setattr(np, "empty", counting_empty)
+        call()
+        monkeypatch.setattr(np, "empty", empty)
+        assert [s for s in sizes if s != (4, length)] == []

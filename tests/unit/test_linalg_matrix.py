@@ -110,7 +110,7 @@ def test_solve(rng):
     m = random_invertible(rng, 4)
     x = rng.integers(0, 256, size=(4, 20), dtype=np.uint8)
     rhs = m.mul_buffer(x)
-    assert np.array_equal(m.solve(rhs), x)
+    assert np.array_equal(m.inverse().mul_buffer(rhs), x)
 
 
 def test_entries_out_of_range_rejected():
@@ -142,3 +142,11 @@ def test_construction_copies_caller_array(rng):
     source[0, 0] ^= 1
     assert source.flags.writeable
     assert np.array_equal(m.data, before)
+
+
+def test_independent_rows_are_taken_greedily_in_order():
+    m = GFMatrix([[1, 2], [2, 4], [0, 1], [1, 0]])  # row 1 is 2 * row 0
+    assert m.independent_rows([0, 1, 2, 3], 2) == [0, 2]
+    assert m.independent_rows([1, 0, 3], 2) == [1, 3]
+    assert m.independent_rows([0, 1], 2) is None
+    assert m.independent_rows(range(4), 3) is None  # rank 2
