@@ -112,7 +112,7 @@ def _pair_table(coeff: int) -> np.ndarray:
 
 
 def table_width(nbytes: int) -> int:
-    """Bytes one one-lane lookup multiplies in ``nbytes``-long buffers: 2
+    """Bytes a one-lane lookup multiplies in ``nbytes``-long buffers: 2
     (pair tables) from :data:`PAIR_MIN` on, else 1 (``GF_MUL`` rows).  A
     plan holds for every length of its width."""
     return 2 if nbytes >= PAIR_MIN else 1
