@@ -133,6 +133,7 @@ class Plan(NamedTuple):
     groups: tuple  #: packed groups, as ``(lane dtype, rows)``
     coeffs: tuple  #: coefficients of the one-lane multiplies
     width: int  #: their index width (:func:`table_width`)
+    scratch: int  #: bytes of walk scratch a step byte takes (see :func:`_walk`)
 
     def apply(self, dsts: "List[np.ndarray]", srcs: "List[np.ndarray]") -> None:
         """Run on validated equal-shape buffers, listed by row and source."""
@@ -204,9 +205,10 @@ def plan(entries: "Iterable[Tuple[Any, Any, int]]", width: int) -> Plan:
     ]
     coeffs = tuple(sorted({c for i in one_lane for c in rows[i].values() if c > 1}))
     zeros = tuple(i for i, row in enumerate(rows) if not row)
+    items = [dtype.itemsize for dtype, _ in groups]
     return Plan(
         tuple(outs), tuple(keys), zeros, tuple(copies), tuple(walk),
-        tuple(groups), coeffs, width,
+        tuple(groups), coeffs, width, 13 + max(items, default=0) + sum(items),
     )
 
 
@@ -219,13 +221,17 @@ def _walk(
     plan: Plan, srcs: "List[np.ndarray]", dsts: "List[np.ndarray]",
     tables: "Dict[int, np.ndarray]", step: int, per_row: int, start: int, stop: int,
 ) -> None:
-    """Apply ``plan`` to leading-axis rows ``[start, stop)``, ``step`` at a
-    time: each source block is widened once per index width and gathered
-    into every row and group that reads it."""
-    # This thread's scratch: one-lane products, byte and pair indices, a
-    # lane temporary, one accumulator per group.  A plan touches only the
-    # pieces it uses, and a buffer under 4 MiB gets no huge pages (numpy
-    # asks for them from there on), so untouched pieces stay unmapped.
+    """Apply ``plan`` to leading-axis rows ``[start, stop)``, at most
+    ``step`` at a time: each source block is widened once per index width
+    and gathered into every row and group that reads it."""
+    # This thread's scratch (``plan.scratch`` bytes a step byte): one-lane
+    # products, byte and pair indices, a lane temporary, one accumulator
+    # per group.  A plan touches only the pieces it uses, and the thread
+    # keeps it only under numpy's 4 MiB huge-page threshold, so untouched
+    # pieces stay unmapped: a plan of many packed groups walks shorter
+    # steps to fit (1/16 spare covers each piece's 64-byte alignment).
+    huge = 4 << 20
+    step = max(1, min(step, huge * 15 // 16 // plan.scratch // max(1, per_row)))
     n = min(step, stop - start) * per_row
     carved = getattr(_local, "carved", None)  # the views of the last call
     if carved is None or carved[0] != (n, plan.groups):
@@ -234,12 +240,14 @@ def _walk(
         starts = [sum(-(-size // 64) * 64 for size in sizes[:k]) for k in range(len(sizes) + 1)]
         scratch = getattr(_local, "scratch", None)
         if scratch is None or scratch.size < starts[-1]:
-            scratch = _local.scratch = np.empty(starts[-1], np.uint8)
+            scratch = np.empty(starts[-1], np.uint8)
         products, narrow, pairs, tmp, *accs = (scratch[a : a + z] for a, z in zip(starts, sizes))
         accs = [acc.view(dt) for acc, (dt, _) in zip(accs, plan.groups)]
         tmps = [tmp[: acc.nbytes].view(acc.dtype) for acc in accs]
         views = products, narrow.view(np.intp), pairs.view(np.intp), accs, tmps
-        carved = _local.carved = (n, plan.groups), views
+        carved = (n, plan.groups), views
+        if scratch.size < huge:  # larger (a step of one long row) lasts one call
+            _local.scratch, _local.carved = scratch, carved
     products, narrow, pairs, accs, tmps = carved[1]
     pair = plan.width == 2 and bool(plan.coeffs)
     for i in range(start, stop, step):

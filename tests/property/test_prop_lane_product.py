@@ -55,7 +55,7 @@ def gf_matrices(draw):
 #: Lengths around every edge the kernels have: empty, one byte, odd, the
 #: walk's step, the pair-table threshold and the two-share split.
 edge_lengths = st.sampled_from(
-    [0, 1, 2, 3, 7, 255, 1023, PAIR_MIN - 1, PAIR_MIN + 1, 4 * BLOCK + 1]
+    [0, 1, 2, 3, 7, 255, 1023, PAIR_MIN - 1, PAIR_MIN, PAIR_MIN + 1, 4 * BLOCK + 1]
     + [BLOCK + d for d in (-1, 0, 1, BLOCK + 1)]
 )
 

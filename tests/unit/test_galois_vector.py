@@ -428,3 +428,30 @@ def test_warm_calls_allocate_no_scratch(monkeypatch, rng, length):
         call()
         monkeypatch.setattr(np, "empty", empty)
         assert [s for s in sizes if s != (4, length)] == []
+
+
+@pytest.mark.parametrize("shape", [(2 * BLOCK,), (2, BLOCK)])
+def test_thread_scratch_stays_under_the_huge_page_threshold(monkeypatch, rng, shape):
+    """No thread keeps 4 MiB (numpy's huge-page threshold) of scratch or
+    more: a plan of many packed groups takes shorter steps, and a step of
+    one long row too big for that gets scratch that lasts one call."""
+    kept = []
+    walk = vector._walk
+
+    def spy(*args):
+        walk(*args)
+        kept.append(getattr(vector._local, "scratch", np.empty(0)).nbytes)
+
+    monkeypatch.setattr(vector, "_walk", spy)
+    sources = [rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(6)]
+    coeffs = rng.integers(2, 256, (6 * vector.LANES, 6))
+    entries = [(o, s, int(c)) for (o, s), c in np.ndenumerate(coeffs)]
+    assert len(vector.plan(entries, 2).groups) == 6  # 6 x 8 uint64 lanes
+    out = [np.empty(shape, dtype=np.uint8) for _ in coeffs]
+    combine(out, sources, entries)
+    for o, row in enumerate(coeffs):
+        expect = np.zeros(shape, dtype=np.uint8)
+        for s, c in enumerate(row):
+            expect ^= GF_MUL[c][sources[s]]
+        assert np.array_equal(out[o], expect)
+    assert kept and max(kept) < 4 << 20

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """GF kernel timing: encode, full decode and repair of two source trees.
 
-Each round runs one fresh ``--worker`` subprocess per tree, alternating
-which tree goes first, so both see the same machine state on average.
+Each of ``ROUNDS`` rounds runs one fresh ``--worker`` subprocess per
+tree, alternating which tree goes first, so both see the same machine
+state on average.
 A worker imports ``repro`` from its tree's ``src/`` and times every case
 warm (one untimed call first), as the median of repeated calls.  The
 summary gives, per case, each tree's median over rounds, the parent's
@@ -15,7 +16,7 @@ star ``RepairRecipe.execute`` (chunk 0 lost) at 64 KiB and 4 MiB.
 
 Usage::
 
-    python tools/gf_timing.py --parent ../parent --change . --rounds 10
+    python tools/gf_timing.py --parent ../parent --change .
     python tools/gf_timing.py --quick --json /tmp/gf.json
 
 ``--quick`` runs one round of the smallest chunk on this tree alone: a
@@ -42,6 +43,8 @@ REPAIR_SIZES = (64 << 10, 4 << 20)
 
 #: Seconds of calls each case is timed for (at least three calls).
 CASE_SECONDS = 0.1
+#: Rounds of a two-tree comparison, each tree timed once a round.
+ROUNDS = 10
 
 
 def _label(size: int) -> str:
@@ -152,7 +155,6 @@ def main(argv: "List[str] | None" = None) -> int:
     parser.add_argument("--parent", type=pathlib.Path, help="parent source tree")
     parser.add_argument("--change", type=pathlib.Path, default=REPO_ROOT,
                         help="changed source tree (default: this one)")
-    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--quick", action="store_true",
                         help="one round, smallest chunk, this tree only")
     parser.add_argument("--json", type=pathlib.Path, help="write the summary here")
@@ -168,7 +170,7 @@ def main(argv: "List[str] | None" = None) -> int:
     trees = {"change": args.change}
     if args.parent is not None and not args.quick:
         trees["parent"] = args.parent
-    rounds = 1 if args.quick else args.rounds
+    rounds = 1 if args.quick else ROUNDS
     samples: Dict[str, Dict[str, List[float]]] = {name: {} for name in trees}
     for r in range(rounds):
         order = sorted(trees, reverse=bool(r % 2))
